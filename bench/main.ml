@@ -16,7 +16,8 @@ let full = Array.exists (( = ) "--full") Sys.argv
 (* -j N / --jobs N: run the experiment sweeps across N domains. Default 1:
    plain sequential, no pool, the historical behaviour. The sweeps are
    deterministic either way — a parallel run returns byte-identical
-   results (the [par] section measures and checks exactly that). *)
+   results (the [par] section measures and checks exactly that). The pool's
+   N-1 workers stay parked for the whole run and are joined at the end. *)
 let jobs =
   let rec find i =
     if i + 1 >= Array.length Sys.argv then 1
@@ -28,7 +29,7 @@ let jobs =
   in
   find 1
 
-let pool = if jobs > 1 then Some (Smapp_par.Pool.create ~domains:jobs) else None
+let pool = if jobs > 1 then Some (Smapp_par.Lanes.create ~domains:jobs) else None
 
 (* --minor-heap WORDS[k|m]: applied via Gc.set before any section runs.
    Performance only — every digest and event count is byte-identical at
@@ -591,9 +592,12 @@ let par_bench () =
   in
   let sweep p () = E.Fig2c.run ?pool:p ~seeds ~file_bytes ~variant:E.Fig2c.Refresh () in
   let seq_r, seq_s = timed (sweep None) in
-  let p = Smapp_par.Pool.create ~domains in
-  let par_r, par_s = timed (sweep (Some p)) in
-  Smapp_par.Pool.shutdown p;
+  let p = Smapp_par.Lanes.create ~domains in
+  let par_r, par_s =
+    Fun.protect
+      ~finally:(fun () -> Smapp_par.Lanes.shutdown p)
+      (fun () -> timed (sweep (Some p)))
+  in
   let identical = seq_r = par_r in
   let speedup = if par_s > 0.0 then seq_s /. par_s else 0.0 in
   Printf.printf "sequential: %.2f s wall\n%d domains:  %.2f s wall -> speedup x%.2f\n"
@@ -948,6 +952,8 @@ let microbench () =
     tests
 
 let () =
+  Fun.protect ~finally:(fun () -> Option.iter Smapp_par.Lanes.shutdown pool)
+  @@ fun () ->
   Printf.printf "SMAPP benchmark harness (%s scale)\n"
     (if quick then "quick" else if full then "full/paper" else "default");
   section "fig2a" fig2a;

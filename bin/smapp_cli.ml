@@ -43,9 +43,9 @@ let with_pool ?(tracing = false) jobs f =
   end
   else if jobs = 1 then f None
   else begin
-    let pool = Smapp_par.Pool.create ~domains:jobs in
+    let pool = Smapp_par.Lanes.create ~domains:jobs in
     Fun.protect
-      ~finally:(fun () -> Smapp_par.Pool.shutdown pool)
+      ~finally:(fun () -> Smapp_par.Lanes.shutdown pool)
       (fun () -> f (Some pool))
   end
 
@@ -601,6 +601,49 @@ let workload_cmd =
       const run_workload $ conns $ arrival_rate $ flow_dist $ controller $ clients
       $ servers $ paths $ shards $ seed $ runs $ minor_heap_arg $ jobs_arg $ trace_arg)
 
+(* --- the static analyzer, shared by `smapp check` and `smapp analyze` ------- *)
+
+(* [Analysis.run] over [root] (default: wherever the cwd keeps its .cmt
+   artifacts) under [allowlist_file] (default: analysis-allowlist.txt when
+   present), and the findings that fail the run: those missing from
+   [baseline_file], or all of them without one. [None] when no .cmt
+   artifacts exist. *)
+let analysis_gate ~root ~allowlist_file ~baseline_file =
+  let module A = Smapp_check.Analysis in
+  match if root = None then A.default_root () else root with
+  | None -> None
+  | Some root ->
+      let allowlist_file =
+        match allowlist_file with
+        | None when Sys.file_exists "analysis-allowlist.txt" ->
+            Some "analysis-allowlist.txt"
+        | f -> f
+      in
+      let allowlist =
+        match allowlist_file with
+        | None -> A.empty_allowlist
+        | Some f -> (
+            match A.load_allowlist f with
+            | Ok a -> a
+            | Error e ->
+                prerr_endline ("smapp analyze: bad allowlist: " ^ e);
+                exit 2)
+      in
+      let report = A.run ~allowlist ~root () in
+      let gate =
+        match baseline_file with
+        | None -> report.A.r_findings
+        | Some f -> A.regressions ~baseline:(A.load_baseline f) report
+      in
+      Some (report, gate)
+
+let print_analysis report =
+  let module A = Smapp_check.Analysis in
+  List.iter (fun f -> Format.printf "%a@." A.pp_finding f) report.A.r_findings;
+  List.iter
+    (fun k -> Format.printf "smapp analyze: stale allowlist entry: %s@." k)
+    report.A.r_stale_allow
+
 (* --- check: the correctness tooling ----------------------------------------- *)
 
 let run_check quick permutations =
@@ -614,19 +657,17 @@ let run_check quick permutations =
   (match Check.Fsm.self_check () with
   | Ok () -> part "fsm self-check" true "tables complete, terminal, reachable"
   | Error msg -> part "fsm self-check" false msg);
-  (* 2. the source tree is lint-clean (when run from the repo root) *)
-  (if Sys.file_exists "lib" && Sys.is_directory "lib" then
-     let r = Check.Lint.run ~dir:"lib" in
-     List.iter
-       (fun f -> Format.printf "%a@." Check.Lint.pp_finding f)
-       r.Check.Lint.r_findings;
-     part "lint lib/"
-       (r.Check.Lint.r_findings = [])
-       (Printf.sprintf "%d files, %d findings, %d suppressed"
-          r.Check.Lint.r_files
-          (List.length r.Check.Lint.r_findings)
-          r.Check.Lint.r_suppressed)
-   else Printf.printf "skip lint (no lib/ here)\n");
+  (* 2. the compiled tree passes the static analyzer (from the repo root,
+     after a build) — the same call `smapp analyze` makes *)
+  (match analysis_gate ~root:None ~allowlist_file:None ~baseline_file:None with
+  | None -> Printf.printf "skip analysis (no .cmt artifacts here)\n"
+  | Some (report, gate) ->
+      print_analysis report;
+      part "analysis lib/" (gate = [])
+        (Printf.sprintf "%d units, %d findings, %d allowlisted"
+           report.Smapp_check.Analysis.r_units
+           (List.length report.Smapp_check.Analysis.r_findings)
+           (List.length report.Smapp_check.Analysis.r_allowlisted)));
   (* 3. tie-order exploration of the conformance-checked scenarios *)
   let permutations = if quick then min permutations 120 else permutations in
   let explore name scenario =
@@ -663,53 +704,24 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Correctness tooling: FSM table self-check, source lint, and \
-          tie-order race exploration")
+         "Correctness tooling: FSM table self-check, the static analyzer \
+          (as $(b,smapp analyze) with its default allowlist), and tie-order \
+          race exploration")
     Term.(const run_check $ quick $ permutations)
 
 (* --- analyze: typed domain-safety & determinism pass -------------------------- *)
 
 let run_analyze root allowlist_file baseline_file json_file =
   let module A = Smapp_check.Analysis in
-  let root =
-    match root with
-    | Some r -> r
-    | None -> (
-        match A.default_root () with
-        | Some r -> r
-        | None ->
-            prerr_endline
-              "smapp analyze: no .cmt artifacts found (run `dune build` first)";
-            exit 2)
-  in
-  let allowlist_file =
-    match allowlist_file with
-    | Some f -> Some f
+  let report, gate =
+    match analysis_gate ~root ~allowlist_file ~baseline_file with
+    | Some rg -> rg
     | None ->
-        if Sys.file_exists "analysis-allowlist.txt" then
-          Some "analysis-allowlist.txt"
-        else None
+        prerr_endline
+          "smapp analyze: no .cmt artifacts found (run `dune build` first)";
+        exit 2
   in
-  let allowlist =
-    match allowlist_file with
-    | None -> A.empty_allowlist
-    | Some f -> (
-        match A.load_allowlist f with
-        | Ok a -> a
-        | Error e ->
-            prerr_endline ("smapp analyze: bad allowlist: " ^ e);
-            exit 2)
-  in
-  let report = A.run ~allowlist ~root () in
-  let gate =
-    match baseline_file with
-    | None -> report.A.r_findings
-    | Some f -> A.regressions ~baseline:(A.load_baseline f) report
-  in
-  List.iter (fun f -> Format.printf "%a@." A.pp_finding f) report.A.r_findings;
-  List.iter
-    (fun k -> Format.printf "smapp analyze: stale allowlist entry: %s@." k)
-    report.A.r_stale_allow;
+  print_analysis report;
   (match json_file with
   | None -> ()
   | Some path ->

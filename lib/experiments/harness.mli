@@ -10,11 +10,11 @@ val run_seconds : Engine.t -> float -> unit
 val seeds : int -> int list
 (** [seeds n] is the deterministic seed list used for multi-run CDFs. *)
 
-val sweep : ?pool:Smapp_par.Pool.t -> ('a -> 'b) -> 'a list -> 'b list
+val sweep : ?pool:Smapp_par.Lanes.t -> ('a -> 'b) -> 'a list -> 'b list
 (** Run one job per element, returning results in submission order.
     Without a pool this is [List.map] on the calling domain; with one,
-    jobs are spread across its domains, each inside a fresh
-    [Smapp_par.Ctx] capsule. Deterministic either way. *)
+    the jobs are one [Smapp_par.Lanes] round across its domains, each
+    inside a fresh [Smapp_par.Ctx] capsule. Deterministic either way. *)
 
 type pair = {
   engine : Engine.t;

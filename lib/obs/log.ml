@@ -17,8 +17,8 @@ let emitted () = Atomic.get emitted_count
    every other module routes diagnostics through [msg]/[debug]/... so a host
    application can redirect or silence them with [set_sink]. *)
 let default_sink l s =
-  (* smapp-lint: allow naked-print — Log *is* the diagnostics sink the rule
-     points everyone else at; this is the single egress to stderr *)
+  (* the single egress to stderr: allowlisted as naked-print in
+     analysis-allowlist.txt *)
   Printf.eprintf "[smapp %-5s] %s\n%!" (level_name l) s
 
 let sink = Atomic.make default_sink

@@ -12,10 +12,17 @@ type t = {
   mutable workers : unit Domain.t list;
 }
 
+(* Set while a lane walks its slice. A job that starts another round —
+   on its own pool it would wait on a barrier it is holding up, on another
+   it would oversubscribe the cores — is rejected eagerly. Per-domain:
+   every lane sets its own. *)
+let in_round : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+
 (* Walk lane [lane]'s static slice: shards lane, lane+d, lane+2d, ...
    Failures are collected (not raised) so every lane still reaches the
    barrier; the caller re-raises the lowest shard index afterwards. *)
 let run_slice t ~lane ~shards job =
+  Domain.DLS.set in_round true;
   let s = ref lane in
   while !s < shards do
     (try job !s
@@ -25,7 +32,8 @@ let run_slice t ~lane ~shards job =
        t.failures <- (!s, e, bt) :: t.failures;
        Mutex.unlock t.mutex);
     s := !s + t.n_domains
-  done
+  done;
+  Domain.DLS.set in_round false
 
 let worker t lane () =
   let my_round = ref 0 in
@@ -78,6 +86,8 @@ let is_shut_down t = t.closed
 let run t ~shards job =
   if t.closed then invalid_arg "Smapp_par.Lanes.run: pool is shut down";
   if shards < 0 then invalid_arg "Smapp_par.Lanes.run: negative shard count";
+  if Domain.DLS.get in_round then
+    invalid_arg "Smapp_par.Lanes.run: nested parallel round";
   Mutex.lock t.mutex;
   t.round <- t.round + 1;
   t.job <- job;

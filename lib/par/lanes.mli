@@ -1,23 +1,24 @@
-(** A persistent barrier pool for sharded-window execution.
+(** The one domain pool: persistent lanes that run barrier rounds.
 
-    {!Smapp_par.Pool} spawns and joins its domains on every [map] — fine
-    for coarse experiment sweeps, far too heavy for a window protocol that
-    synchronises thousands of times per run. [Lanes] keeps [domains - 1]
-    worker domains parked on a condition variable and runs one {e round}
-    per call: shard [s] executes on lane [s mod domains] (the caller is
-    lane 0), every lane walks its slice in index order, and the caller
-    returns only after all lanes reach the barrier.
+    [Lanes] keeps [domains - 1] worker domains parked on a condition
+    variable and runs one {e round} per {!run}: job [s] executes on lane
+    [s mod domains] (the caller is lane 0), every lane walks its slice in
+    index order, and the caller returns only after all lanes reach the
+    barrier. Parking instead of spawning per call is what lets a window
+    protocol synchronise thousands of times per run.
 
-    The static placement means a shard is always driven by the same lane,
-    so shard-local state needs no synchronisation beyond the round's
-    mutex-mediated start/finish edges (which give the happens-before for
-    the orchestrator to read lane results between rounds). If jobs raise,
-    the exception of the lowest-indexed failing shard is re-raised on the
-    caller after the barrier, like [Pool.map].
+    Placement is a pure function of the job index, never of timing, so a
+    job is always driven by the same lane and job-local state needs no
+    synchronisation beyond the round's mutex-mediated start/finish edges
+    (which give the happens-before for the caller to read job results
+    after the round). If jobs raise, the exception of the lowest-indexed
+    failing job is re-raised on the caller after the barrier, like
+    [List.iter] would surface it.
 
-    Intended as the [?lanes] argument of {!Smapp_sim.Shard.run}: window
-    results are identical whether lanes run sequentially or in parallel —
-    determinism comes from the window protocol, not the schedule. *)
+    Two callers: {!Smapp_sim.Shard.run} takes a round per window (its
+    [?lanes] argument), and {!Sweep.map} runs a whole sweep as one round.
+    Results are identical whether lanes run sequentially or in parallel —
+    determinism comes from the job structure, not the schedule. *)
 
 type t
 
@@ -31,9 +32,12 @@ val domains : t -> int
 val run : t -> shards:int -> (int -> unit) -> unit
 (** [run t ~shards f] executes [f s] once for every [s] in [[0, shards)]
     across the lanes and returns after the barrier. Raises
-    [Invalid_argument] on a shut-down pool. *)
+    [Invalid_argument] on a shut-down pool, and when called from inside a
+    running round's job (nested parallelism, on any pool). *)
 
 val shutdown : t -> unit
-(** Wake and join the workers. Idempotent; later {!run} calls raise. *)
+(** Wake and join the workers. Idempotent; later {!run} calls raise.
+    The workers are real parked domains, so every {!create} needs a
+    matching [shutdown]. *)
 
 val is_shut_down : t -> bool

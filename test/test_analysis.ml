@@ -1,7 +1,8 @@
-(* The typed analyzer (Smapp_check.Analysis) run over the fixture library
+(* The static analyzer (Smapp_check.Analysis) run over the fixture library
    in test/fixtures: exact finding keys for the known-hazard module, zero
-   findings for the sanctioned-pattern module, allowlist and baseline
-   mechanics, and stability of the classifier under module reordering.
+   findings for the sanctioned-pattern module, the per-case hygiene and
+   order rules of fx_lint.ml, allowlist and baseline mechanics, and
+   stability of the classifier under module reordering.
 
    The fixtures are analyzed from their .cmt artifacts, which dune puts
    under fixtures/.analysis_fixtures.objs/ relative to the test's cwd
@@ -30,12 +31,34 @@ let fixture_files () =
         (String.concat " or " fixture_roots)
         (Sys.getcwd ())
 
-(* Every hazard planted in fx_hazard.ml / fx_allowlisted.ml, and nothing
-   else — fx_safe.ml, fx_arena.ml and the library wrapper must
-   contribute zero keys. *)
+let lint_key rule symbol = rule ^ " Analysis_fixtures.Fx_lint." ^ symbol
+
+(* Every case planted in fx_lint.ml, by rule. *)
+let lint_keys =
+  [
+    lint_key "naked-failwith" "fail_now:failwith";
+    lint_key "naked-failwith" "fail_piped:failwith";
+    lint_key "naked-failwith" "unreachable:assert_false";
+    lint_key "naked-print" "warn_stderr:Printf.eprintf";
+    lint_key "naked-print" "say_hi:Printf.printf";
+    lint_key "naked-print" "shout:print_endline";
+    lint_key "naked-print" "shout_err:prerr_endline";
+    lint_key "hashtbl-order" "visit:Hashtbl.iter";
+    lint_key "hashtbl-order" "gather:Hashtbl.fold";
+    lint_key "hashtbl-order" "retry_all:Hashtbl.iter";
+    lint_key "poly-compare-seq" "ack_order:compare";
+    lint_key "poly-compare-seq" "at_zero:=";
+    lint_key "poly-compare-seq" "before:<";
+    lint_key "poly-compare-seq" "guard:<=";
+  ]
+
+(* Every hazard planted in fx_hazard.ml / fx_allowlisted.ml / fx_lint.ml,
+   and nothing else — fx_safe.ml, fx_arena.ml and the library wrapper
+   must contribute zero keys. *)
 let expected_keys =
   List.sort String.compare
-    [
+    (lint_keys
+    @ [
       "mutable-global Analysis_fixtures.Fx_hazard.table";
       "mutable-global Analysis_fixtures.Fx_hazard.counter";
       "mutable-global Analysis_fixtures.Fx_hazard.cell";
@@ -47,7 +70,7 @@ let expected_keys =
       "poly-compare-seq Analysis_fixtures.Fx_hazard.seq_leaks:=";
       "hot-alloc Analysis_fixtures.Fx_hazard.spin:closure";
       "hot-alloc Analysis_fixtures.Fx_hazard.spin:record";
-    ]
+      ])
 
 let test_exact_findings () =
   let r = Analysis.run_files (fixture_files ()) in
@@ -162,6 +185,89 @@ let test_ci_gate () =
     [ "mutable-global Foo.bar" ] (Analysis.load_baseline b);
   Sys.remove b
 
+(* === the hygiene and order rules, case by case (fx_lint.ml) =========== *)
+
+(* The top-level binding a finding sits in: its symbol up to the ':'. *)
+let enclosing f =
+  let s = f.Analysis.a_symbol in
+  match String.index_opt s ':' with Some i -> String.sub s 0 i | None -> s
+
+(* The findings whose enclosing binding is one of [names] in Fx_lint. *)
+let lint_findings names =
+  let r = Analysis.run_files (fixture_files ()) in
+  List.filter
+    (fun f ->
+      f.Analysis.a_module = "Analysis_fixtures.Fx_lint"
+      && List.mem (enclosing f) names)
+    r.Analysis.r_findings
+
+let check_keys msg expected names =
+  Alcotest.(check (list string))
+    msg
+    (List.sort String.compare expected)
+    (List.sort String.compare (List.map Analysis.key (lint_findings names)))
+
+let check_clean msg names = check_keys msg [] names
+
+let test_lint_poly_compare () =
+  check_keys "flags field compare"
+    [ lint_key "poly-compare-seq" "ack_order:compare" ]
+    [ "ack_order" ];
+  check_keys "flags =" [ lint_key "poly-compare-seq" "at_zero:=" ] [ "at_zero" ];
+  check_keys "flags constrained operand"
+    [ lint_key "poly-compare-seq" "before:<" ]
+    [ "before" ]
+
+let test_lint_poly_compare_clean () =
+  check_clean "Seq32's own operations" [ "seq_le" ];
+  check_clean "unrelated compare ok" [ "stat_order" ]
+
+let test_lint_hashtbl_order () =
+  check_keys "iter" [ lint_key "hashtbl-order" "visit:Hashtbl.iter" ] [ "visit" ];
+  check_keys "fold" [ lint_key "hashtbl-order" "gather:Hashtbl.fold" ] [ "gather" ];
+  check_clean "otable exempt" [ "visit_ordered" ];
+  check_clean "find_opt exempt" [ "lookup" ]
+
+let test_lint_naked_failwith () =
+  check_keys "failwith" [ lint_key "naked-failwith" "fail_now:failwith" ] [ "fail_now" ];
+  check_keys "assert false"
+    [ lint_key "naked-failwith" "unreachable:assert_false" ]
+    [ "unreachable" ];
+  check_keys "unapplied failwith"
+    [ lint_key "naked-failwith" "fail_piped:failwith" ]
+    [ "fail_piped" ];
+  check_clean "assert cond ok" [ "checked" ]
+
+let test_lint_naked_print () =
+  check_keys "eprintf"
+    [ lint_key "naked-print" "warn_stderr:Printf.eprintf" ]
+    [ "warn_stderr" ];
+  check_keys "printf" [ lint_key "naked-print" "say_hi:Printf.printf" ] [ "say_hi" ];
+  check_keys "print_endline"
+    [ lint_key "naked-print" "shout:print_endline" ]
+    [ "shout" ];
+  check_keys "unapplied prerr_endline"
+    [ lint_key "naked-print" "shout_err:prerr_endline" ]
+    [ "shout_err" ];
+  check_clean "sprintf ok" [ "render" ];
+  check_clean "fprintf ok" [ "row" ];
+  check_clean "Log ok" [ "slow" ]
+
+let test_lint_seeded_tree_violation () =
+  (* the acceptance fixture: a seeded violation in otherwise-clean code *)
+  match lint_findings [ "retry_all"; "guard" ] with
+  | [ a; b ] ->
+      Alcotest.(check (list string))
+        "both caught"
+        [
+          lint_key "hashtbl-order" "retry_all:Hashtbl.iter";
+          lint_key "poly-compare-seq" "guard:<=";
+        ]
+        [ Analysis.key a; Analysis.key b ];
+      Alcotest.(check int) "compare on the line after" (a.Analysis.a_line + 1)
+        b.Analysis.a_line
+  | fs -> Alcotest.failf "expected two findings, got %d" (List.length fs)
+
 (* Keys are content-based (rule + qualified symbol), so shuffling the
    order the .cmt files are presented in must not change the report. *)
 let prop_order_stable =
@@ -195,5 +301,16 @@ let () =
           Alcotest.test_case "allowlist parsing" `Quick test_load_allowlist;
           Alcotest.test_case "baseline CI gate" `Quick test_ci_gate;
           QCheck_alcotest.to_alcotest prop_order_stable;
+        ] );
+      ( "lint",
+        [
+          Alcotest.test_case "poly-compare-seq fires" `Quick test_lint_poly_compare;
+          Alcotest.test_case "poly-compare-seq clean" `Quick
+            test_lint_poly_compare_clean;
+          Alcotest.test_case "hashtbl-order" `Quick test_lint_hashtbl_order;
+          Alcotest.test_case "naked-failwith" `Quick test_lint_naked_failwith;
+          Alcotest.test_case "naked-print" `Quick test_lint_naked_print;
+          Alcotest.test_case "seeded violation" `Quick
+            test_lint_seeded_tree_violation;
         ] );
     ]

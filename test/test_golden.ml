@@ -143,8 +143,8 @@ let test_workload_smoke_digest_golden () =
 (* === sequential vs pooled: bit-identical results ============================ *)
 
 let with_pool4 f =
-  let pool = Smapp_par.Pool.create ~domains:4 in
-  Fun.protect ~finally:(fun () -> Smapp_par.Pool.shutdown pool) (fun () -> f pool)
+  let pool = Smapp_par.Lanes.create ~domains:4 in
+  Fun.protect ~finally:(fun () -> Smapp_par.Lanes.shutdown pool) (fun () -> f pool)
 
 let test_fig2c_pool_identical () =
   with_pool4 (fun pool ->

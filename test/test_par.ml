@@ -1,9 +1,9 @@
 (* Tests for Smapp_par: pool lifecycle, ordered deterministic merge,
-   exception propagation, nested-map rejection, Ctx scope isolation, and
-   the property the experiment sweeps lean on — [Pool.map] agrees with
-   [List.map] on every input. *)
+   exception propagation, nested-round rejection, Ctx scope isolation, and
+   the property the experiment sweeps lean on — [Sweep.map] over a [Lanes]
+   pool agrees with [List.map] on every input. *)
 
-module Pool = Smapp_par.Pool
+module Lanes = Smapp_par.Lanes
 module Ctx = Smapp_par.Ctx
 module Sweep = Smapp_par.Sweep
 module Metrics = Smapp_obs.Metrics
@@ -16,67 +16,70 @@ let check_ints = Alcotest.check (Alcotest.list Alcotest.int)
 (* === lifecycle =============================================================== *)
 
 let test_create () =
-  let p = Pool.create ~domains:3 in
-  checki "domains" 3 (Pool.domains p);
-  checkb "fresh pool is live" false (Pool.is_shut_down p);
+  let p = Lanes.create ~domains:3 in
+  checki "domains" 3 (Lanes.domains p);
+  checkb "fresh pool is live" false (Lanes.is_shut_down p);
+  Lanes.shutdown p;
   Alcotest.check_raises "domains must be >= 1"
-    (Invalid_argument "Smapp_par.Pool.create: domains must be >= 1") (fun () ->
-      ignore (Pool.create ~domains:0))
+    (Invalid_argument "Smapp_par.Lanes.create: domains must be >= 1") (fun () ->
+      ignore (Lanes.create ~domains:0))
 
 let test_shutdown () =
-  let p = Pool.create ~domains:2 in
-  Pool.shutdown p;
-  checkb "shut down" true (Pool.is_shut_down p);
-  Pool.shutdown p;
+  let p = Lanes.create ~domains:2 in
+  Lanes.shutdown p;
+  checkb "shut down" true (Lanes.is_shut_down p);
+  Lanes.shutdown p;
   (* idempotent *)
-  checkb "still shut down" true (Pool.is_shut_down p);
+  checkb "still shut down" true (Lanes.is_shut_down p);
   Alcotest.check_raises "map after shutdown raises"
-    (Invalid_argument "Smapp_par.Pool.map: pool is shut down") (fun () ->
-      ignore (Pool.map p (fun x -> x) [ 1; 2; 3 ]))
+    (Invalid_argument "Smapp_par.Lanes.run: pool is shut down") (fun () ->
+      ignore (Sweep.map ~pool:p (fun x -> x) [ 1; 2; 3 ]))
 
 (* === ordered merge =========================================================== *)
 
 let test_ordered_merge () =
-  let p = Pool.create ~domains:4 in
+  let p = Lanes.create ~domains:4 in
   let xs = List.init 37 (fun i -> i) in
   check_ints "results in submission order" (List.map (fun i -> i * i) xs)
-    (Pool.map p (fun i -> i * i) xs);
-  check_ints "empty input" [] (Pool.map p (fun i -> i) []);
-  check_ints "fewer jobs than lanes" [ 10 ] (Pool.map p (fun i -> i * 10) [ 1 ]);
-  Pool.shutdown p
+    (Sweep.map ~pool:p (fun i -> i * i) xs);
+  check_ints "empty input" [] (Sweep.map ~pool:p (fun i -> i) []);
+  check_ints "fewer jobs than lanes" [ 10 ] (Sweep.map ~pool:p (fun i -> i * 10) [ 1 ]);
+  Lanes.shutdown p
 
 let test_single_domain_pool () =
   (* domains:1 degenerates to the caller walking the list — still ordered *)
-  let p = Pool.create ~domains:1 in
-  check_ints "single lane" [ 2; 4; 6 ] (Pool.map p (fun i -> 2 * i) [ 1; 2; 3 ]);
-  Pool.shutdown p
+  let p = Lanes.create ~domains:1 in
+  check_ints "single lane" [ 2; 4; 6 ] (Sweep.map ~pool:p (fun i -> 2 * i) [ 1; 2; 3 ]);
+  Lanes.shutdown p
 
 (* === exception propagation =================================================== *)
 
 exception Boom of int
 
 let test_exception_propagation () =
-  let p = Pool.create ~domains:4 in
+  let p = Lanes.create ~domains:4 in
   (* jobs 3 and 9 both fail on different lanes: the lowest submission
      index must win, deterministically *)
-  (match Pool.map p (fun i -> if i = 3 || i = 9 then raise (Boom i) else i)
+  (match Sweep.map ~pool:p (fun i -> if i = 3 || i = 9 then raise (Boom i) else i)
            (List.init 12 (fun i -> i))
    with
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom i -> checki "first failure by submission index" 3 i);
   (* the pool survives a failed map *)
-  check_ints "pool usable after failure" [ 0; 1 ] (Pool.map p (fun i -> i) [ 0; 1 ]);
-  Pool.shutdown p
+  check_ints "pool usable after failure" [ 0; 1 ] (Sweep.map ~pool:p (fun i -> i) [ 0; 1 ]);
+  Lanes.shutdown p
 
 let test_nested_map_rejected () =
-  let p = Pool.create ~domains:2 in
-  (match Pool.map p (fun i -> Pool.map p (fun x -> x) [ i ]) [ 1; 2; 3; 4 ] with
+  let p = Lanes.create ~domains:2 in
+  (match Sweep.map ~pool:p (fun i -> Sweep.map ~pool:p (fun x -> x) [ i ]) [ 1; 2; 3; 4 ] with
   | _ -> Alcotest.fail "expected nested map to be rejected"
   | exception Invalid_argument msg ->
       checkb "nested rejection message"
         true
-        (msg = "Smapp_par.Pool.map: nested parallel map"));
-  Pool.shutdown p
+        (msg = "Smapp_par.Lanes.run: nested parallel round"));
+  (* the guard is per round, not sticky: the pool still maps afterwards *)
+  check_ints "pool usable after rejection" [ 1 ] (Sweep.map ~pool:p (fun i -> i) [ 1 ]);
+  Lanes.shutdown p
 
 (* === ctx isolation =========================================================== *)
 
@@ -101,23 +104,23 @@ let test_ctx_isolates_obs () =
       checki "caller scope untouched" 1 (Metrics.value c))
 
 let test_sweep_matches_list_map () =
-  let p = Pool.create ~domains:3 in
+  let p = Lanes.create ~domains:3 in
   let f i = (i, i * 7) in
   let xs = List.init 23 (fun i -> i) in
   checkb "Sweep.map ?pool:None is List.map" true (Sweep.map f xs = List.map f xs);
   checkb "pooled sweep agrees" true (Sweep.map ~pool:p f xs = List.map f xs);
-  Pool.shutdown p
+  Lanes.shutdown p
 
-(* === property: Pool.map = List.map ========================================== *)
+(* === property: Sweep.map over Lanes = List.map =============================== *)
 
 let prop_map_agrees =
-  QCheck.Test.make ~count:200 ~name:"Pool.map agrees with List.map"
+  QCheck.Test.make ~count:200 ~name:"Sweep.map agrees with List.map"
     QCheck.(pair (int_range 1 6) (small_list int))
     (fun (domains, xs) ->
-      let p = Pool.create ~domains in
+      let p = Lanes.create ~domains in
       let f x = (2 * x) + 1 in
-      let r = Pool.map p f xs = List.map f xs in
-      Pool.shutdown p;
+      let r = Sweep.map ~pool:p f xs = List.map f xs in
+      Lanes.shutdown p;
       r)
 
 let () =

@@ -187,20 +187,18 @@ let test_deterministic_alloc () =
 let test_scope_isolation () =
   with_prof (fun () ->
       Prof.with_frame "main-domain" (fun () -> ());
-      let pool = Smapp_par.Pool.create ~domains:2 in
+      let pool = Smapp_par.Lanes.create ~domains:2 in
       let reports =
         Fun.protect
-          ~finally:(fun () -> Smapp_par.Pool.shutdown pool)
+          ~finally:(fun () -> Smapp_par.Lanes.shutdown pool)
           (fun () ->
-            Smapp_par.Pool.map pool
+            (* Sweep runs each job inside its own capsule *)
+            Smapp_par.Sweep.map ~pool
               (fun k ->
-                (* each job profiles inside its own capsule, like Sweep *)
-                let ctx = Smapp_par.Ctx.create () in
-                Smapp_par.Ctx.run ctx (fun () ->
-                    for _ = 1 to k do
-                      Prof.with_frame (Printf.sprintf "job-%d" k) (fun () -> ())
-                    done;
-                    Prof.report ()))
+                for _ = 1 to k do
+                  Prof.with_frame (Printf.sprintf "job-%d" k) (fun () -> ())
+                done;
+                Prof.report ())
               [ 1; 2 ])
           in
       List.iter2
