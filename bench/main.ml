@@ -187,24 +187,32 @@ let fig2b () =
   let runs = scale ~q:2 ~d:5 ~f:10 in
   let blocks = scale ~q:15 ~d:30 ~f:30 in
   let seeds = E.Harness.seeds runs in
-  List.iter
-    (fun loss ->
-      let fm = E.Fig2b.run ?pool ~seeds ~blocks ~loss ~variant:E.Fig2b.Default_fullmesh () in
-      cdf_row
-        (Printf.sprintf "fullmesh %.0f%%" (loss *. 100.))
-        fm.E.Fig2b.delays)
-    [ 0.10; 0.20; 0.30; 0.40 ];
-  List.iter
-    (fun loss ->
-      let sm = E.Fig2b.run ?pool ~seeds ~blocks ~loss ~variant:E.Fig2b.Smart_stream () in
-      cdf_row
-        (Printf.sprintf "smart-stream %.0f%%" (loss *. 100.))
-        sm.E.Fig2b.delays)
-    [ 0.10; 0.20; 0.30; 0.40 ];
+  (* one CDF row per loss ratio; returns the (10%, 40%) p90s *)
+  let sweep variant label =
+    let p90s =
+      List.map
+        (fun loss ->
+          let r = E.Fig2b.run ?pool ~seeds ~blocks ~loss ~variant () in
+          cdf_row (Printf.sprintf "%s %.0f%%" label (loss *. 100.)) r.E.Fig2b.delays;
+          match r.E.Fig2b.delays with
+          | [] -> Float.nan
+          | d -> Stats.Cdf.quantile (Stats.Cdf.of_samples d) 0.9)
+        [ 0.10; 0.20; 0.30; 0.40 ]
+    in
+    (List.hd p90s, List.nth p90s 3)
+  in
+  let fm10, fm40 = sweep E.Fig2b.Default_fullmesh "fullmesh" in
+  let sm10, sm40 = sweep E.Fig2b.Smart_stream "smart-stream" in
   Printf.printf
-    "\nshape check: fullmesh p90 grows with loss into seconds; smart-stream\n\
-     p90 stays near the no-loss 0.11 s for every loss ratio (paper: 'almost\n\
-     the same CDF for 10-40%%').\n"
+    "\nshape check (p90, 10%% -> 40%% loss):\n\
+    \  fullmesh      %.3f -> %.3f s (x%.2f)\n\
+    \  smart-stream  %.3f -> %.3f s (x%.2f)\n\
+     fullmesh's tail %s;\n\
+     smart-stream's p90 at 40%% loss is %s fullmesh's.\n"
+    fm10 fm40 (fm40 /. fm10) sm10 sm40 (sm40 /. sm10)
+    (if fm40 >= 1.0 then "reaches seconds, as in the paper"
+     else "stays under a second (the paper's grows into seconds)")
+    (if sm40 < fm40 then "below" else "not below")
 
 (* ---------------------------------------------------------------- fig 2c *)
 
@@ -836,18 +844,6 @@ let perf_bench () =
           (float_of_int c.c_events /. float_of_int rep500.p_events)
       end)
     rep500.Smapp_obs.Prof.p_classes;
-  (* A/B: pooling and batching off — the legacy allocate-per-segment
-     datapath. Event counts stay exact (the arena is behavior-neutral by
-     construction; benchdiff pins w500_arena_off_events Exact), only the
-     bytes/event move. *)
-  let saved_pool = Smapp_tcp.Segment.pooling_enabled ()
-  and saved_batch = Smapp_netsim.Link.batching_enabled () in
-  Smapp_tcp.Segment.set_pooling false;
-  Smapp_netsim.Link.set_batching false;
-  Fun.protect ~finally:(fun () ->
-      Smapp_tcp.Segment.set_pooling saved_pool;
-      Smapp_netsim.Link.set_batching saved_batch)
-  @@ (fun () -> ignore (profile "w500_arena_off" 500 1 : Smapp_obs.Prof.report));
   (* minor-heap sweep point: the --minor-heap knob at 8M words vs the
      default, same workload — records what GC sizing buys on this host *)
   let saved_gc = Gc.get () in

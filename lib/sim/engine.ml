@@ -132,24 +132,18 @@ let schedule_ranked_event t when_ ~r1 ~r2 ~r3 f =
   ev
 [@@smapp.hot]
 
-let schedule_event ?rank t when_ f =
-  match rank with
-  | None -> schedule_ranked_event t when_ ~r1:0 ~r2:0 ~r3:0 f
-  | Some (r1, r2, r3) -> schedule_ranked_event t when_ ~r1 ~r2 ~r3 f
-[@@smapp.hot]
-
 (* Fire-and-forget scheduling: no timer handle, so no timer record per
-   event. Consumes the same seq/rank stream as [at], so switching a call
-   site between the two never reorders dispatch. *)
-let schedule ?rank t when_ f = ignore (schedule_event ?rank t when_ f : event)
+   event. Consumes the same seq stream as [at], so switching a call site
+   between the two never reorders dispatch. *)
+let schedule t when_ f = ignore (schedule_ranked_event t when_ ~r1:0 ~r2:0 ~r3:0 f : event)
 [@@smapp.hot]
 
 let schedule_ranked t when_ ~r1 ~r2 ~r3 f =
   ignore (schedule_ranked_event t when_ ~r1 ~r2 ~r3 f : event)
 [@@smapp.hot]
 
-let at ?rank t when_ f =
-  let ev = schedule_event ?rank t when_ f in
+let at t when_ f =
+  let ev = schedule_ranked_event t when_ ~r1:0 ~r2:0 ~r3:0 f in
   let timer = { t_engine = t; t_current = Some ev } in
   ev.ev_owner <- Some timer;
   timer
@@ -178,8 +172,9 @@ let every t ?start period f =
   let timer = { t_engine = t; t_current = None } in
   let rec arm delay =
     let ev =
-      schedule_event t
+      schedule_ranked_event t
         (Time.add t.clock (Time.span_max delay Time.span_zero))
+        ~r1:0 ~r2:0 ~r3:0
         (fun () -> match f () with `Continue -> arm period | `Stop -> ())
     in
     ev.ev_owner <- Some timer;
@@ -194,23 +189,18 @@ let every t ?start period f =
    executing callbacks schedule back at the same instant — exactly the
    delivery-order races the {!Smapp_check.Explore} harness probes. *)
 let pop_shuffled t rng =
-  match Timer_wheel.pop t.queue with
-  | None -> None
-  | Some (time, ev) ->
-      let group = ref [ ev ] in
-      let draining = ref true in
-      while !draining do
-        match Timer_wheel.peek t.queue with
-        | Some (time', _) when time' = time -> (
-            match Timer_wheel.pop t.queue with
-            | Some (_, ev') -> group := ev' :: !group
-            | None -> draining := false)
-        | _ -> draining := false
-      done;
-      let arr = Array.of_list (List.rev !group) in
-      let i = Rng.int rng (Array.length arr) in
-      Array.iteri (fun j ev' -> if j <> i then Timer_wheel.add t.queue ~time ev') arr;
-      Some arr.(i)
+  let time = Timer_wheel.next_time t.queue in
+  if time < 0 then t.ev_dummy
+  else begin
+    let group = ref [ Timer_wheel.take t.queue ] in
+    while Timer_wheel.next_time t.queue = time do
+      group := Timer_wheel.take t.queue :: !group
+    done;
+    let arr = Array.of_list (List.rev !group) in
+    let i = Rng.int rng (Array.length arr) in
+    Array.iteri (fun j ev' -> if j <> i then Timer_wheel.add t.queue ~time ev') arr;
+    arr.(i)
+  end
 
 let run ?until ?(max_events = max_int) t =
   let executed = ref 0 in
@@ -229,8 +219,7 @@ let run ?until ?(max_events = max_int) t =
           let ev =
             match t.tie_break with
             | Fifo -> Timer_wheel.take t.queue
-            | Shuffle rng -> (
-                match pop_shuffled t rng with None -> t.ev_dummy | Some ev -> ev)
+            | Shuffle rng -> pop_shuffled t rng
           in
           if ev == t.ev_dummy then continue := false
           else begin

@@ -11,9 +11,9 @@ type shard = {
    seq) order — a total order (seq is unique per (src, dst) pair) — so
    the merge cannot depend on which lane posted first in wall-clock
    time. The rank is the sender's canonical tie key (see
-   [Engine.at ?rank]); it carries through injection so an injected event
-   sorts against the destination's local same-instant events exactly as
-   it would have, had it been scheduled locally. *)
+   [Engine.schedule_ranked]); it carries through injection so an injected
+   event sorts against the destination's local same-instant events exactly
+   as it would have, had it been scheduled locally. *)
 type mail = {
   m_time : int;
   m_r1 : int; (* the rank triple, flattened: no tuple kept per mail *)
@@ -151,8 +151,9 @@ let compare_mail a b =
    (time, rank, src, seq) — a total order over the drained set — makes
    the injected engine-sequence numbers, and therefore all downstream tie
    decisions, a pure function of what was posted; the rank also carries
-   into [Engine.at], where it slots each event among the destination's
-   local same-instant events exactly as local scheduling would have. *)
+   into [Engine.schedule_ranked], where it slots each event among the
+   destination's local same-instant events exactly as local scheduling
+   would have. *)
 let drain g =
   let n = Array.length g.g_shards in
   for dst = 0 to n - 1 do

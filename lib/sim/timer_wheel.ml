@@ -139,10 +139,7 @@ let add_ranked t ~time ~r1 ~r2 ~r3 value =
   place t e
 [@@smapp.hot]
 
-let add t ~time ?rank value =
-  match rank with
-  | None -> add_ranked t ~time ~r1:0 ~r2:0 ~r3:0 value
-  | Some (r1, r2, r3) -> add_ranked t ~time ~r1 ~r2 ~r3 value
+let add t ~time value = add_ranked t ~time ~r1:0 ~r2:0 ~r3:0 value
 [@@smapp.hot]
 
 let lowest_bit_index m =
@@ -245,13 +242,9 @@ let next_time t =
   let e = front t in
   if e == t.nil then -1 else e.e_time
 
-let peek t =
-  let e = front t in
-  if e == t.nil then None else Some (e.e_time, e.e_value)
-
 (* Remove and recycle the front entry, handing back its value; [t.dummy]
-   when empty. The engine's hot loop uses this (and [next_time]) so that
-   a dispatch round allocates no option or tuple. *)
+   when empty. Paired with [next_time], a dispatch round allocates no
+   option or tuple. *)
 let take t =
   let e = front t in
   if e == t.nil then t.dummy
@@ -265,12 +258,3 @@ let take t =
     v
   end
 [@@smapp.hot]
-
-let pop t =
-  let e = front t in
-  if e == t.nil then None
-  else begin
-    let time = e.e_time in
-    let v = take t in
-    Some (time, v)
-  end

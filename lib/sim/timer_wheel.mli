@@ -19,13 +19,13 @@ val create : dummy:'a -> 'a t
     sentinel and is what {!take} returns on an empty wheel; it is never
     popped as an element. *)
 
-val add : 'a t -> time:int -> ?rank:int * int * int -> 'a -> unit
-(** [add t ~time v] inserts [v] with key [time] (>= 0; raises
-    [Invalid_argument] otherwise). Keys may be in any order; keys below
-    the wheel's advanced base are still served correctly, via the
+val add_ranked : 'a t -> time:int -> r1:int -> r2:int -> r3:int -> 'a -> unit
+(** [add_ranked t ~time ~r1 ~r2 ~r3 v] inserts [v] with key [time] (>= 0;
+    raises [Invalid_argument] otherwise). Keys may be in any order; keys
+    below the wheel's advanced base are still served correctly, via the
     overflow tier.
 
-    [rank] (default [(0, 0, 0)]) orders elements within one timestamp:
+    The rank [(r1, r2, r3)] orders elements within one timestamp:
     lexicographic rank first, insertion order among equal ranks. The
     engine gives network deliveries a canonical rank (transmit time,
     link id, per-link serial) so that equal-instant delivery order is a
@@ -33,27 +33,18 @@ val add : 'a t -> time:int -> ?rank:int * int * int -> 'a -> unit
     order — the property that makes sharded runs
     ({!Smapp_sim.Shard}) bit-identical to sequential ones. *)
 
-val add_ranked : 'a t -> time:int -> r1:int -> r2:int -> r3:int -> 'a -> unit
-(** {!add} with the rank flattened into plain int arguments: the hot
-    spine's entry point, no tuple or option boxed per call. [add] with
-    and without [?rank] is sugar over this. *)
+val add : 'a t -> time:int -> 'a -> unit
+(** {!add_ranked} at rank [(0, 0, 0)], which sorts before any other
+    rank: equal keys leave in plain insertion order. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val next_time : 'a t -> int
-(** Key of the earliest element, or [-1] when empty. Allocation-free,
-    unlike {!peek}. May internally advance the wheel (amortised O(1)). *)
-
-val peek : 'a t -> (int * 'a) option
-(** Earliest (key, value) without removing it. May internally advance
-    the wheel (amortised O(1)). *)
+(** Key of the earliest element, or [-1] when empty. Allocation-free.
+    May internally advance the wheel (amortised O(1)). *)
 
 val take : 'a t -> 'a
 (** Remove and return the earliest element ([dummy] when empty); equal
-    keys leave in (rank, insertion) order. Allocation-free: the engine's
-    dispatch loop pairs this with {!next_time}. *)
-
-val pop : 'a t -> (int * 'a) option
-(** Remove and return the earliest element with its key; equal keys pop
-    in (rank, insertion) order. *)
+    keys leave in (rank, insertion) order. Allocation-free: read the key
+    first with {!next_time}. *)

@@ -148,12 +148,86 @@ let test_link_up_again_does_not_resurrect () =
   checki "only the post-recovery packet arrives" 1 !count;
   checki "the in-flight one was dropped" 1 (Link.stats link).Link.dropped
 
-(* --- batched drains: byte-identity against the legacy per-packet path ---------- *)
+(* --- batched drains: byte-identity against a per-packet reference model ------- *)
+
+(* The per-packet link model [Link] implements, as the reference: one
+   closure per packet, built only on the public [Engine]/[Rng] API. It
+   draws its uid and RNG stream in [Link.create]'s order and makes the
+   same schedule calls at the same (time, rank) keys as [Link.send], so a
+   correct [Link] reproduces its arrival log byte for byte. *)
+type ref_link = {
+  r_engine : Engine.t;
+  r_uid : int;
+  r_rng : Rng.t;
+  r_rate : float;
+  r_delay : Time.span;
+  r_loss : float;
+  r_qcap : int;
+  r_dst : Packet.t -> unit;
+  r_stats : Link.stats;
+  mutable r_queued : int;
+  mutable r_busy_until : Time.t;
+  mutable r_up : bool;
+  mutable r_gen : int;
+}
+
+let ref_link_create e ~rate_bps ~delay ~loss ~queue_capacity dst =
+  let r_uid = Engine.fresh_uid e in
+  let r_rng = Engine.split_rng e in
+  {
+    r_engine = e;
+    r_uid;
+    r_rng;
+    r_rate = rate_bps;
+    r_delay = delay;
+    r_loss = loss;
+    r_qcap = queue_capacity;
+    r_dst = dst;
+    r_stats = { Link.sent = 0; delivered = 0; lost = 0; dropped = 0; bytes_delivered = 0 };
+    r_queued = 0;
+    r_busy_until = Time.zero;
+    r_up = true;
+    r_gen = 0;
+  }
+
+let ref_link_send l pkt =
+  let st = l.r_stats in
+  st.Link.sent <- st.Link.sent + 1;
+  if (not l.r_up) || l.r_queued >= l.r_qcap then st.Link.dropped <- st.Link.dropped + 1
+  else begin
+    let now = Engine.now l.r_engine in
+    let start = if Time.(l.r_busy_until > now) then l.r_busy_until else now in
+    let tx_done =
+      Time.add start
+        (Time.span_of_float_s (float_of_int (pkt.Packet.size * 8) /. l.r_rate))
+    in
+    l.r_busy_until <- tx_done;
+    l.r_queued <- l.r_queued + 1;
+    let lost = Rng.bernoulli l.r_rng l.r_loss in
+    let deliver_at = Time.add tx_done l.r_delay in
+    let r1 = Time.to_ns now and r3 = st.Link.sent in
+    Engine.schedule l.r_engine tx_done (fun () -> l.r_queued <- l.r_queued - 1);
+    if lost then st.Link.lost <- st.Link.lost + 1
+    else begin
+      let gen = l.r_gen in
+      Engine.schedule_ranked l.r_engine deliver_at ~r1 ~r2:l.r_uid ~r3 (fun () ->
+          if l.r_gen <> gen then st.Link.dropped <- st.Link.dropped + 1
+          else begin
+            st.Link.delivered <- st.Link.delivered + 1;
+            st.Link.bytes_delivered <- st.Link.bytes_delivered + pkt.Packet.size;
+            l.r_dst pkt
+          end)
+    end
+  end
+
+let ref_link_cut l =
+  if l.r_up then l.r_gen <- l.r_gen + 1;
+  l.r_up <- false
 
 (* Tie-heavy scenarios: several identically shaped links fed bursts at
    coarse instants, so many deliveries share a drain instant within and
-   across links. The batched walk must reproduce the legacy per-packet
-   closures' arrival log byte for byte — same times, same canonical
+   across links. The batched drain must reproduce the reference model's
+   arrival log byte for byte — same times, same canonical
    (tx-time, link, serial) order, same loss draws, same kill semantics. *)
 type drain_scenario = {
   ds_links : int;
@@ -191,46 +265,49 @@ let arb_drain_scenario =
         | Some (ms, l) -> Printf.sprintf "%dms@l%d" ms l)
         sc.ds_seed)
 
-let run_drain_scenario batching sc =
-  let saved = Link.batching_enabled () in
-  Link.set_batching batching;
-  Fun.protect ~finally:(fun () -> Link.set_batching saved) @@ fun () ->
+(* [reference] runs the scenario through [ref_link] instead of [Link]. *)
+let run_drain_scenario ~reference sc =
   let e = Engine.create ~seed:sc.ds_seed () in
   let log = Buffer.create 1024 in
+  let dst i pkt =
+    Buffer.add_string log
+      (Printf.sprintf "%d:%d:%d;" (Time.to_ns (Engine.now e)) i pkt.Packet.size)
+  in
+  let delay = Time.span_ms sc.ds_delay_ms in
+  (* per link: (send, cut the cable, stats) *)
   let links =
     Array.init sc.ds_links (fun i ->
-        let l =
-          Link.create e
-            ~name:(Printf.sprintf "l%d" i)
-            ~rate_bps:sc.ds_rate
-            ~delay:(Time.span_ms sc.ds_delay_ms)
-            ~loss:sc.ds_loss ~queue_capacity:sc.ds_qcap ()
-        in
-        Link.set_dst l (fun pkt ->
-            Buffer.add_string log
-              (Printf.sprintf "%d:%d:%d;" (Time.to_ns (Engine.now e)) i
-                 pkt.Packet.size));
-        l)
+        if reference then
+          let l =
+            ref_link_create e ~rate_bps:sc.ds_rate ~delay ~loss:sc.ds_loss
+              ~queue_capacity:sc.ds_qcap (dst i)
+          in
+          (ref_link_send l, (fun () -> ref_link_cut l), l.r_stats)
+        else
+          let l =
+            Link.create e
+              ~name:(Printf.sprintf "l%d" i)
+              ~rate_bps:sc.ds_rate ~delay ~loss:sc.ds_loss ~queue_capacity:sc.ds_qcap ()
+          in
+          Link.set_dst l (dst i);
+          (Link.send l, (fun () -> Link.set_up l false), Link.stats l))
   in
   List.iter
     (fun (ms, li, cls) ->
+      let send, _, _ = links.(li) in
       ignore
         (Engine.at e
            (Time.of_ns (ms * 1_000_000))
-           (fun () ->
-             Link.send links.(li) (raw_packet ~size:(400 + (300 * cls)) ()))))
+           (fun () -> send (raw_packet ~size:(400 + (300 * cls)) ()))))
     sc.ds_sends;
   (match sc.ds_kill with
   | None -> ()
   | Some (ms, li) ->
-      ignore
-        (Engine.at e
-           (Time.of_ns (ms * 1_000_000))
-           (fun () -> Link.set_up links.(li) false)));
+      let _, cut, _ = links.(li) in
+      ignore (Engine.at e (Time.of_ns (ms * 1_000_000)) cut));
   Engine.run e;
   Array.iteri
-    (fun i l ->
-      let st = Link.stats l in
+    (fun i (_, _, st) ->
       Buffer.add_string log
         (Printf.sprintf "|%d:%d/%d/%d/%d" i st.Link.sent st.Link.delivered
            st.Link.lost st.Link.dropped))
@@ -241,36 +318,30 @@ let prop_batched_drains_identical =
   QCheck.Test.make ~count:60
     ~name:"batched drains reproduce the per-packet arrival log byte for byte"
     arb_drain_scenario (fun sc ->
-      run_drain_scenario true sc = run_drain_scenario false sc)
+      run_drain_scenario ~reference:false sc = run_drain_scenario ~reference:true sc)
 
-let mid_drain_kill batching =
-  let saved = Link.batching_enabled () in
-  Link.set_batching batching;
-  Fun.protect ~finally:(fun () -> Link.set_batching saved) @@ fun () ->
+let test_mid_drain_kill_identical () =
   let e = Engine.create ~seed:11 () in
   let link = Link.create e ~rate_bps:8e6 ~delay:(Time.span_ms 10) () in
   let arrivals = ref [] in
   Link.set_dst link (fun _ -> arrivals := Time.to_ns (Engine.now e) :: !arrivals);
   (* six queued 1 ms transmissions deliver at 11..16 ms; the cable is
      pulled at exactly 13 ms — the same instant as the third delivery,
-     the worst case for a batched walk that has that instant's drain
-     already scheduled *)
+     the worst case for a drain that has that instant's delivery already
+     scheduled. The unranked pull sorts before the ranked delivery, so
+     the third packet dies with the other three still in flight. *)
   for _ = 1 to 6 do
     Link.send link (raw_packet ())
   done;
   ignore (Engine.at e (Time.of_ns 13_000_000) (fun () -> Link.set_up link false));
   Engine.run e;
   let st = Link.stats link in
-  (List.rev !arrivals, st.Link.delivered, st.Link.dropped)
-
-let test_mid_drain_kill_identical () =
-  let arr_b, del_b, drop_b = mid_drain_kill true in
-  let arr_l, del_l, drop_l = mid_drain_kill false in
-  Alcotest.check (Alcotest.list Alcotest.int) "same arrival instants" arr_l arr_b;
-  checki "same delivered count" del_l del_b;
-  checki "same dropped count" drop_l drop_b;
+  Alcotest.check (Alcotest.list Alcotest.int) "same arrival instants"
+    [ 11_000_000; 12_000_000 ] (List.rev !arrivals);
+  checki "same delivered count" 2 st.Link.delivered;
+  checki "same dropped count" 4 st.Link.dropped;
   (* and the kill really bit mid-drain: some of the six died *)
-  checkb "kill dropped in-flight packets" true (drop_b > 0 && del_b < 6)
+  checkb "kill dropped in-flight packets" true (st.Link.dropped > 0 && st.Link.delivered < 6)
 
 (* --- Host ---------------------------------------------------------------------- *)
 

@@ -220,26 +220,15 @@ let test_scope_isolation () =
 
 (* === the datapath memory wall ================================================ *)
 
-(* The profiled 500-conn workload from the bench's perf section, with the
-   arena'd datapath on. Two pins: the profiler's books must stay honest
-   (the same 5% reconciliation bound the CLI's [smapp prof] gates on —
-   pooling must not hide or double-count allocation), and link delivery
+(* The profiled 500-conn workload from the bench's perf section. Two
+   pins: the profiler's books must stay honest (the same 5%
+   reconciliation bound the CLI's [smapp prof] gates on — pooling must
+   not hide or double-count allocation), and link delivery
    must stay inside the per-event self-allocation budget the hot-path
    work bought. Either pin failing means a change quietly re-introduced
    per-event garbage or broke attribution. *)
 let test_arena_books_and_budget () =
-  let module Segment = Smapp_tcp.Segment in
-  let module Link = Smapp_netsim.Link in
   let module Workload = Smapp_workload.Workload in
-  let saved_pool = Segment.pooling_enabled ()
-  and saved_batch = Link.batching_enabled () in
-  Segment.set_pooling true;
-  Link.set_batching true;
-  Fun.protect
-    ~finally:(fun () ->
-      Segment.set_pooling saved_pool;
-      Link.set_batching saved_batch)
-  @@ fun () ->
   with_prof (fun () ->
       let config =
         {

@@ -215,9 +215,11 @@ let wheel_drain_matches times =
   let w = Timer_wheel.create ~dummy:(-1) in
   List.iteri (fun i time -> Timer_wheel.add w ~time i) times;
   let rec drain acc =
-    match Timer_wheel.pop w with
-    | Some (t, v) -> drain ((t, v) :: acc)
-    | None -> List.rev acc
+    let t = Timer_wheel.next_time w in
+    if t < 0 then List.rev acc
+    else
+      let v = Timer_wheel.take w in
+      drain ((t, v) :: acc)
   in
   let expect =
     List.stable_sort
@@ -277,12 +279,15 @@ let wheel_props =
                 incr seq;
                 Timer_wheel.length w = Heap.length h
             | None -> (
-                match (Timer_wheel.pop w, Heap.pop h) with
-                | None, None -> true
-                | Some (tw, vw), Some (th, _, vh) ->
+                let tw = Timer_wheel.next_time w in
+                match Heap.pop h with
+                | None -> tw < 0
+                | Some (th, _, vh) ->
+                    tw >= 0
+                    &&
+                    let vw = Timer_wheel.take w in
                     floor_t := max !floor_t tw;
-                    tw = th && vw = vh
-                | _ -> false))
+                    tw = th && vw = vh))
           ops)
   ]
 
