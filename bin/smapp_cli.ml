@@ -6,21 +6,6 @@ module E = Smapp_experiments
 module Stats = Smapp_stats
 module Obs = Smapp_obs
 
-(* Run [f] with metrics + tracing on (cleared first), restoring the flags
-   afterwards. The recorded data stays available for export. *)
-let with_obs f =
-  let saved_m = Atomic.get Obs.Metrics.enabled
-  and saved_t = Atomic.get Obs.Trace.enabled in
-  Atomic.set Obs.Metrics.enabled true;
-  Atomic.set Obs.Trace.enabled true;
-  Obs.Metrics.clear ();
-  Obs.Trace.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.set Obs.Metrics.enabled saved_m;
-      Atomic.set Obs.Trace.enabled saved_t)
-    f
-
 (* -j N / --jobs N: run the experiment's independent sweeps across N domains
    (default 1: plain sequential, no pool). Results are identical either way —
    the pool merges in submission order and each job runs inside an isolated
@@ -35,19 +20,11 @@ let jobs_arg =
 
 let with_pool ?(tracing = false) jobs f =
   if jobs < 1 then invalid_arg "--jobs expects a positive domain count";
-  if tracing && jobs > 1 then begin
+  if tracing && jobs > 1 then
     Printf.printf
       "note: --trace forces a sequential run (pooled jobs trace into \
        per-domain scopes, away from the exported buffer)\n";
-    f None
-  end
-  else if jobs = 1 then f None
-  else begin
-    let pool = Smapp_par.Lanes.create ~domains:jobs in
-    Fun.protect
-      ~finally:(fun () -> Smapp_par.Lanes.shutdown pool)
-      (fun () -> f (Some pool))
-  end
+  Smapp_par.Lanes.with_pool ~domains:(if tracing then 1 else jobs) f
 
 let write_trace out =
   Obs.Trace.export_chrome_file out;
@@ -55,242 +32,34 @@ let write_trace out =
     (List.length (Obs.Trace.events ()))
     (Obs.Trace.dropped ()) out
 
-let print_cdf_table name cdfs =
-  Printf.printf "\n%s\n" name;
-  let table = Stats.Table.create ("quantile" :: List.map fst cdfs) in
-  List.iter
-    (fun q ->
-      Stats.Table.add_row table
-        (Printf.sprintf "p%.0f" (q *. 100.0)
-        :: List.map (fun (_, cdf) -> Printf.sprintf "%.3f" (Stats.Cdf.quantile cdf q)) cdfs))
-    [ 0.10; 0.25; 0.50; 0.75; 0.90; 0.99 ];
-  print_string (Stats.Table.to_string table);
-  print_newline ();
-  print_string (Stats.Ascii_plot.cdfs ~x_label:"seconds" cdfs)
+(* --- the paper's experiments: one subcommand per registry entry ----------------- *)
 
-(* --- fig2a ------------------------------------------------------------------ *)
-
-let run_fig2a seed =
-  let r = E.Fig2a.run ~seed () in
-  Printf.printf "Fig 2a: smart backup — seq numbers vs time\n";
-  (match r.E.Fig2a.failover_at with
-  | Some t -> Printf.printf "controller switched to backup at %.3f s\n" t
-  | None -> Printf.printf "no failover happened\n");
-  Printf.printf "delivered %d bytes in %.1f s\n" r.E.Fig2a.bytes_delivered r.E.Fig2a.duration;
-  let series =
-    [
-      (r.E.Fig2a.master.E.Fig2a.label, r.E.Fig2a.master.E.Fig2a.points);
-      (r.E.Fig2a.backup.E.Fig2a.label, r.E.Fig2a.backup.E.Fig2a.points);
-    ]
+let param_arg (E.Registry.Param p) =
+  let conv_of : type a. a E.Registry.kind -> a Arg.conv = function
+    | E.Registry.Int -> Arg.int
+    | E.Registry.Float -> Arg.float
   in
-  print_string
-    (Stats.Ascii_plot.scatter ~x_label:"relative time (s)"
-       ~y_label:"relative seq number (10^5 bytes)" series)
-
-let fig2a_cmd =
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  Cmd.v (Cmd.info "fig2a" ~doc:"Smart backup trace (Fig 2a)")
-    Term.(const run_fig2a $ seed)
-
-(* --- fig2b ------------------------------------------------------------------ *)
-
-let run_fig2b runs blocks jobs =
-  with_pool jobs @@ fun pool ->
-  let seeds = E.Harness.seeds runs in
-  Printf.printf "Fig 2b: CDF of 64KB block completion time (%d runs x %d blocks)\n" runs
-    blocks;
-  let losses = [ 0.10; 0.20; 0.30; 0.40 ] in
-  let curve variant loss =
-    let r = E.Fig2b.run ?pool ~seeds ~blocks ~loss ~variant () in
-    ( Printf.sprintf "%s %d%%" (E.Fig2b.variant_name variant) (int_of_float (loss *. 100.)),
-      r.E.Fig2b.delays )
+  let arg =
+    Arg.(
+      value
+      & opt (conv_of p.E.Registry.kind) p.E.Registry.cli
+      & info [ p.E.Registry.name ] ~doc:p.E.Registry.doc)
   in
-  let fullmesh = List.map (curve E.Fig2b.Default_fullmesh) losses in
-  let smart = curve E.Fig2b.Smart_stream 0.30 in
-  let cdfs =
-    List.filter_map
-      (fun (name, delays) ->
-        if delays = [] then None else Some (name, Stats.Cdf.of_samples delays))
-      (smart :: fullmesh)
+  Term.(const (fun v -> E.Registry.Bind (p, v)) $ arg)
+
+let experiment_cmd (e : E.Registry.t) =
+  let params =
+    List.fold_right
+      (fun p rest -> Term.(const List.cons $ param_arg p $ rest))
+      e.E.Registry.params (Term.const [])
   in
-  print_cdf_table "block completion time CDFs (s)" cdfs
-
-let fig2b_cmd =
-  let runs = Arg.(value & opt int 5 & info [ "runs" ] ~doc:"Seeds per curve.") in
-  let blocks = Arg.(value & opt int 30 & info [ "blocks" ] ~doc:"Blocks per run.") in
-  Cmd.v (Cmd.info "fig2b" ~doc:"Smart streaming CDFs (Fig 2b)")
-    Term.(const run_fig2b $ runs $ blocks $ jobs_arg)
-
-(* --- fig2c ------------------------------------------------------------------ *)
-
-let run_fig2c runs mb jobs =
-  with_pool jobs @@ fun pool ->
-  let file_bytes = mb * 1_000_000 in
-  let seeds = E.Harness.seeds runs in
-  Printf.printf "Fig 2c: CDF of %d MB completion times over 4 ECMP paths, 5 subflows (%d runs)\n"
-    mb runs;
-  let show variant =
-    let r = E.Fig2c.run ?pool ~seeds ~file_bytes ~variant () in
-    Printf.printf "%s: paths used per run: %s\n"
-      (E.Fig2c.variant_name variant)
-      (String.concat "," (List.map string_of_int r.E.Fig2c.paths_used_final));
-    ( E.Fig2c.variant_name variant,
-      r.E.Fig2c.completion_times )
+  let jobs = if e.E.Registry.sweeps then jobs_arg else Term.const 1 in
+  let run params jobs =
+    with_pool jobs @@ fun pool -> print_string (e.E.Registry.run ?pool params).E.Registry.report
   in
-  let nd = show E.Fig2c.Ndiffports in
-  let rf = show E.Fig2c.Refresh in
-  Printf.printf "ideal (4 paths): %.1f s\n"
-    (E.Fig2c.ideal_completion ~file_bytes ~paths:4 ~rate_bps:8e6);
-  let cdfs =
-    List.filter_map
-      (fun (name, times) ->
-        if times = [] then None else Some (name, Stats.Cdf.of_samples times))
-      [ rf; nd ]
-  in
-  print_cdf_table "completion time CDFs (s)" cdfs
-
-let fig2c_cmd =
-  let runs = Arg.(value & opt int 20 & info [ "runs" ] ~doc:"Runs per variant.") in
-  let mb = Arg.(value & opt int 100 & info [ "mb" ] ~doc:"File size in MB.") in
-  Cmd.v (Cmd.info "fig2c" ~doc:"ECMP refresh controller vs ndiffports (Fig 2c)")
-    Term.(const run_fig2c $ runs $ mb $ jobs_arg)
-
-(* --- fig3 ------------------------------------------------------------------- *)
-
-let run_fig3 requests stress jobs =
-  with_pool jobs @@ fun pool ->
-  Printf.printf "Fig 3: CAPA-SYN to JOIN-SYN delay, %d HTTP GETs of 512 KB\n" requests;
-  (* the kernel / userspace / stressed runs are independent simulations:
-     sweep them together so a pool can spread them over domains *)
-  let specs =
-    [ (E.Fig3.Kernel, 1.0, requests); (E.Fig3.Userspace, 1.0, requests) ]
-    @ (if stress > 1.0 then [ (E.Fig3.Userspace, stress, requests) ] else [])
-  in
-  let show r =
-    let delays_ms = List.map (fun d -> d *. 1000.0) r.E.Fig3.delays in
-    let label =
-      if r.E.Fig3.stress = 1.0 then E.Fig3.variant_name r.E.Fig3.variant
-      else
-        Printf.sprintf "%s (stress x%.1f)"
-          (E.Fig3.variant_name r.E.Fig3.variant)
-          r.E.Fig3.stress
-    in
-    (match delays_ms with
-    | [] -> Printf.printf "%s: no joins observed!\n" label
-    | _ ->
-        let s = Stats.Summary.of_samples delays_ms in
-        Printf.printf "%s: %d joins, mean %.3f ms, sd %.4f ms\n" label
-          s.Stats.Summary.count s.Stats.Summary.mean s.Stats.Summary.stddev);
-    (label, delays_ms)
-  in
-  let kernel, user, stressed =
-    match List.map show (E.Fig3.sweep ?pool specs) with
-    | kernel :: user :: stressed -> (kernel, user, stressed)
-    | _ -> assert false (* sweep preserves length; specs has >= 2 entries *)
-  in
-  (match (kernel, user) with
-  | (_, _ :: _), (_, _ :: _) ->
-      let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l) in
-      Printf.printf "userspace adds %.1f us on average (paper: ~23 us)\n"
-        ((mean (snd user) -. mean (snd kernel)) *. 1000.0)
-  | _ -> ());
-  let cdfs =
-    List.filter_map
-      (fun (name, delays) ->
-        if delays = [] then None else Some (name, Stats.Cdf.of_samples delays))
-      ([ kernel; user ] @ stressed)
-  in
-  Printf.printf "\n";
-  List.iter
-    (fun q ->
-      Printf.printf "p%-3.0f %s\n" (q *. 100.)
-        (String.concat "  "
-           (List.map
-              (fun (name, cdf) ->
-                Printf.sprintf "%s=%.4fms" name (Stats.Cdf.quantile cdf q))
-              cdfs)))
-    [ 0.25; 0.5; 0.75; 0.95 ];
-  print_string
-    (Stats.Ascii_plot.cdfs ~x_label:"delay between CAPA and JOIN (ms)" cdfs)
-
-let fig3_cmd =
-  let requests = Arg.(value & opt int 1000 & info [ "requests" ] ~doc:"GET count.") in
-  let stress =
-    Arg.(value & opt float 1.6 & info [ "stress" ] ~doc:"CPU stress multiplier.")
-  in
-  Cmd.v (Cmd.info "fig3" ~doc:"Kernel vs userspace PM latency (Fig 3)")
-    Term.(const run_fig3 $ requests $ stress $ jobs_arg)
-
-(* --- backoff ----------------------------------------------------------------- *)
-
-let run_backoff loss =
-  Printf.printf
-    "Backoff (4.2 text): binary backup semantics under %.0f%% loss from t=1s\n"
-    (loss *. 100.0);
-  let r = E.Backoff.run ~loss () in
-  (match r.E.Backoff.subflow_died_at with
-  | Some t ->
-      Printf.printf
-        "primary subflow killed after %.1f s (~%.1f min; paper observes ~12 min)\n" t
-        (t /. 60.0)
-  | None -> Printf.printf "primary subflow still alive at horizon\n");
-  Printf.printf "rto expirations on primary: %d, max rto %.1f s\n"
-    r.E.Backoff.rto_expirations r.E.Backoff.max_rto_seen;
-  Printf.printf "bytes delivered before/after failover: %d / %d\n"
-    r.E.Backoff.bytes_before_failover r.E.Backoff.bytes_after_failover
-
-let backoff_cmd =
-  let loss = Arg.(value & opt float 0.30 & info [ "loss" ] ~doc:"Loss ratio.") in
-  Cmd.v (Cmd.info "backoff" ~doc:"RFC-style backup failover latency (4.2 text)")
-    Term.(const run_backoff $ loss)
-
-(* --- fullmesh ---------------------------------------------------------------- *)
-
-let run_fullmesh seed =
-  Printf.printf "4.1: userspace fullmesh controller on a long-lived connection\n";
-  let r = E.Fullmesh_recovery.run ~seed () in
-  List.iter
-    (fun c ->
-      Printf.printf "%7.1fs  %-26s subflows=%d\n" c.E.Fullmesh_recovery.at
-        c.E.Fullmesh_recovery.label c.E.Fullmesh_recovery.subflows_alive)
-    r.E.Fullmesh_recovery.checkpoints;
-  Printf.printf "controller created %d subflows, scheduled %d reconnects\n"
-    r.E.Fullmesh_recovery.subflows_created_by_controller r.E.Fullmesh_recovery.reconnects;
-  Printf.printf "keepalives sent: %d; final subflows: %d\n"
-    r.E.Fullmesh_recovery.messages_sent r.E.Fullmesh_recovery.final_subflows
-
-let fullmesh_cmd =
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.") in
-  Cmd.v (Cmd.info "fullmesh" ~doc:"Fullmesh controller failure recovery (4.1)")
-    Term.(const run_fullmesh $ seed)
+  Cmd.v (Cmd.info e.E.Registry.name ~doc:e.E.Registry.doc) Term.(const run $ params $ jobs)
 
 (* --- chaos ------------------------------------------------------------------- *)
-
-let pp_convergence r =
-  Printf.printf
-    "%-8s drop=%4.0f%% seed=%-3d  converged=%-8s dup_subs=%d  kernel/view subs=%d/%d  \
-     retries=%d resyncs=%d gaps=%d  ch drops=%d dups=%d enobufs=%d  key replays=%d\n"
-    r.E.Chaos.controller (r.E.Chaos.drop *. 100.0) r.E.Chaos.seed
-    (match r.E.Chaos.converged_after_s with
-    | Some s -> Printf.sprintf "%.3fs" s
-    | None -> "NEVER")
-    r.E.Chaos.duplicate_subflows r.E.Chaos.kernel_subflows r.E.Chaos.view_subflows
-    r.E.Chaos.retries r.E.Chaos.resyncs r.E.Chaos.gaps_detected r.E.Chaos.dropped
-    r.E.Chaos.duplicated r.E.Chaos.overflowed r.E.Chaos.duplicate_commands
-
-let pp_dataplane r =
-  Printf.printf
-    "%-8s seed=%-4d  bytes=%d/%d %-8s  handovers=%d failovers=%d requests=%d \
-     reconnects=%d stale=%d  max_stall=%.2fs (bound %.1fs)  link_drops=%d  \
-     goodput=%.2f Mbit/s  -> %s\n"
-    r.E.Chaos.dp_scenario r.E.Chaos.dp_seed r.E.Chaos.dp_bytes_received
-    r.E.Chaos.dp_bytes_sent
-    (if r.E.Chaos.dp_byte_exact then "exact" else "MISMATCH")
-    r.E.Chaos.dp_handovers r.E.Chaos.dp_failovers r.E.Chaos.dp_subflow_requests
-    r.E.Chaos.dp_reconnects r.E.Chaos.dp_stale_suppressed r.E.Chaos.dp_max_stall_s
-    r.E.Chaos.dp_stall_bound_s r.E.Chaos.dp_link_drops
-    (r.E.Chaos.dp_goodput_bps /. 1e6)
-    (if E.Chaos.dataplane_invariants_ok r then "ok" else "INVARIANT VIOLATION")
 
 let run_chaos scenario seed drop grid shards jobs trace =
   with_pool ~tracing:(trace <> None) jobs @@ fun pool ->
@@ -310,7 +79,7 @@ let run_chaos scenario seed drop grid shards jobs trace =
           (fun scenario -> E.Chaos.run_dataplane ~scenario ~seed ~shards ())
           scenarios
     in
-    List.iter pp_dataplane results;
+    List.iter (fun r -> print_endline (E.Chaos.dataplane_row r)) results;
     if not (List.for_all E.Chaos.dataplane_invariants_ok results) then begin
       Printf.printf "graceful-degradation invariants VIOLATED\n";
       exit 1
@@ -326,24 +95,17 @@ let run_chaos scenario seed drop grid shards jobs trace =
     | `Control ->
         Printf.printf
           "Chaos: fullmesh controller over a lossy Netlink channel + daemon restart\n";
-        if grid then List.iter pp_convergence (E.Chaos.run_grid ?pool ())
-        else pp_convergence (E.Chaos.run_convergence ~seed ~drop ());
-        Printf.printf "\nWatchdog: daemon lost for good at t=5s\n";
-        let w = E.Chaos.run_watchdog ~seed () in
-        Printf.printf
-          "fallback_active=%b fallbacks=%d handbacks=%d kernel_subflows=%d\n"
-          w.E.Chaos.w_fallback_active w.E.Chaos.w_fallbacks w.E.Chaos.w_handbacks
-          w.E.Chaos.w_kernel_subflows;
-        Printf.printf "bytes acked at loss / at end: %d / %d (%s)\n"
-          w.E.Chaos.w_bytes_at_loss w.E.Chaos.w_bytes_final
-          (if w.E.Chaos.w_bytes_final > w.E.Chaos.w_bytes_at_loss then
-             "still transferring"
-           else "STALLED")
+        List.iter
+          (fun r -> print_endline (E.Chaos.convergence_row r))
+          (if grid then E.Chaos.run_grid ?pool ()
+           else [ E.Chaos.run_convergence ~seed ~drop () ]);
+        Printf.printf "\nWatchdog: daemon lost for good at t=5s\n%s\n"
+          (E.Chaos.watchdog_summary (E.Chaos.run_watchdog ~seed ()))
   in
   match trace with
   | None -> body ()
   | Some out ->
-      with_obs (fun () ->
+      Obs.Switch.with_flags ~metrics:true ~trace:true (fun () ->
           body ();
           write_trace out)
 
@@ -479,7 +241,9 @@ let apply_minor_heap = function
 let run_workload conns arrival_rate flow_dist controller clients servers paths shards
     seed runs minor_heap jobs trace =
   apply_minor_heap minor_heap;
-  with_pool ~tracing:(trace <> None) jobs @@ fun pool ->
+  (* the pool parallelises whole seeds; a single run parallelises its
+     shard windows across lanes instead *)
+  with_pool ~tracing:(trace <> None) (if runs > 1 then jobs else 1) @@ fun pool ->
   let open Smapp_workload in
   if shards < 1 then invalid_arg "--shards expects a positive count";
   let shards =
@@ -514,44 +278,30 @@ let run_workload conns arrival_rate flow_dist controller clients servers paths s
   let seeds = List.init runs (fun i -> seed + i) in
   let run_all () =
     let rs =
-      if runs = 1 then begin
-        (* window lanes across domains: the in-scenario parallelism; with
-           multiple runs the pool parallelises whole seeds instead *)
-        let lanes_domains = min shards jobs in
-        if shards > 1 && lanes_domains > 1 then begin
-          let lanes = Smapp_par.Lanes.create ~domains:lanes_domains in
-          Fun.protect
-            ~finally:(fun () -> Smapp_par.Lanes.shutdown lanes)
-            (fun () -> [ Workload.run ~lanes config ])
-        end
-        else [ Workload.run config ]
-      end
+      if runs = 1 then
+        Smapp_par.Lanes.with_pool ~domains:(min shards jobs) (fun lanes ->
+            [ Workload.run ?lanes config ])
       else Workload.run_many ?pool ~seeds config
     in
     (match trace with Some out -> write_trace out | None -> ());
     rs
   in
-  let rs = match trace with None -> run_all () | Some _ -> with_obs run_all in
+  let rs =
+    match trace with
+    | None -> run_all ()
+    | Some _ -> Obs.Switch.with_flags ~metrics:true ~trace:true run_all
+  in
   List.iter2
     (fun run_seed r ->
       if runs > 1 then Printf.printf "\n[seed %d]\n" run_seed;
-      Printf.printf "completed %d/%d (peak %d concurrent), %d bytes total\n"
-        r.Workload.completed r.Workload.launched r.Workload.peak_concurrent
-        r.Workload.bytes_total;
-      Printf.printf "controller: %d subflows created, %d failovers\n"
-        r.Workload.subflows_created r.Workload.failovers;
-      Printf.printf "simulated %.2f s in %.2f s wall; %d events -> %.0f events/s\n"
-        r.Workload.sim_duration_s r.Workload.wall_s r.Workload.engine_events
-        r.Workload.events_per_sec;
-      (* every deterministic field, bit-exactly: the byte-identity gate
-         for sequential-vs-sharded runs compares this line *)
-      Printf.printf "digest %s\n" (Workload.digest r))
+      print_endline (Workload.summary r))
     seeds rs;
   (match List.concat_map (fun r -> r.Workload.fcts) rs with
   | [] -> ()
   | samples ->
-      print_cdf_table "flow completion times (s)"
-        [ ("fct", Stats.Cdf.of_samples samples) ]);
+      Printf.printf "\n%s\n%s"
+        (Stats.Cdf.quantile_row "flow completion (s)" samples)
+        (Stats.Ascii_plot.cdfs ~x_label:"seconds" [ ("fct", Stats.Cdf.of_samples samples) ]));
   if List.exists (fun r -> r.Workload.completed < r.Workload.launched) rs then exit 1
 
 let workload_cmd =
@@ -860,7 +610,7 @@ let run_trace exp out seed requests width =
         (if Float.abs (ratio -. 1.0) <= 0.2 then " (within 20%)" else " (OUTSIDE 20%)");
       if Float.abs (ratio -. 1.0) > 0.2 then exit 1
   | (`Chaos | `Workload | `Fullmesh) as exp ->
-      with_obs (fun () ->
+      Obs.Switch.with_flags ~metrics:true ~trace:true (fun () ->
           run_small exp seed;
           print_trace_report out width)
 
@@ -891,12 +641,7 @@ let trace_cmd =
     Term.(const run_trace $ exp $ out $ seed $ requests $ width)
 
 let run_metrics exp seed json =
-  let saved = Atomic.get Obs.Metrics.enabled in
-  Atomic.set Obs.Metrics.enabled true;
-  Obs.Metrics.clear ();
-  Fun.protect
-    ~finally:(fun () -> Atomic.set Obs.Metrics.enabled saved)
-    (fun () -> run_small exp seed);
+  Obs.Switch.with_flags ~metrics:true (fun () -> run_small exp seed);
   if json then print_endline (Stats.Json.to_string (Obs.Metrics.to_json ()))
   else print_string (Obs.Metrics.to_prometheus ())
 
@@ -949,13 +694,8 @@ let run_prof conns seed shards minor_heap json =
   Printf.printf "prof: %d conns, seed %d%s, profiling on\n\n" conns seed
     (if shards > 1 then Printf.sprintf ", %d shards (sequential windows)" shards
      else "");
-  let saved = Atomic.get Obs.Prof.enabled in
-  Atomic.set Obs.Prof.enabled true;
-  Obs.Prof.reset ();
   let result, wall_ns, alloc_bytes =
-    Fun.protect
-      ~finally:(fun () -> Atomic.set Obs.Prof.enabled saved)
-      (fun () ->
+    Obs.Switch.with_flags ~prof:true (fun () ->
         let a0 = Gc.allocated_bytes () in
         let t0 = Unix.gettimeofday () in
         let r = Obs.Prof.with_frame "run" (fun () -> Workload.run config) in
@@ -1028,16 +768,38 @@ let prof_cmd =
           Gc.allocated_bytes within 5%")
     Term.(const run_prof $ conns $ seed $ shards $ minor_heap_arg $ json)
 
+(* --- bench: every experiment at one scale, plus the instrument sections -------- *)
+
+let bench_cmd =
+  let scale =
+    Arg.(
+      value
+      & vflag E.Registry.Default
+          [
+            ( E.Registry.Quick,
+              info [ "quick" ] ~doc:"Smoke scale: shrink the multi-run experiments." );
+            ( E.Registry.Full,
+              info [ "full" ] ~doc:"Paper scale everywhere (100 MB files, 1000 GETs)." );
+          ])
+  in
+  let run scale jobs minor_heap =
+    apply_minor_heap minor_heap;
+    with_pool jobs (Bench.run ~scale ~jobs)
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Every paper-experiment subcommand at one scale, plus the \
+          chaos, workload, sharding, parallel-sweep, overhead, per-event-cost \
+          and microbenchmark sections; writes BENCH.json")
+    Term.(const run $ scale $ jobs_arg $ minor_heap_arg)
+
 let main_cmd =
   let doc = "SMAPP experiments: smart Multipath TCP path management" in
   Cmd.group (Cmd.info "smapp" ~doc)
-    [
-      fig2a_cmd;
-      fig2b_cmd;
-      fig2c_cmd;
-      fig3_cmd;
-      backoff_cmd;
-      fullmesh_cmd;
+    (List.map experiment_cmd E.Registry.all
+    @ [
+      bench_cmd;
       chaos_cmd;
       workload_cmd;
       check_cmd;
@@ -1045,6 +807,6 @@ let main_cmd =
       trace_cmd;
       metrics_cmd;
       prof_cmd;
-    ]
+    ])
 
 let () = exit (Cmd.eval main_cmd)

@@ -511,3 +511,36 @@ let run_dataplane_grid ?pool
   Harness.sweep ?pool
     (fun (scenario, seed) -> run_dataplane ~scenario ~seed ~shards ())
     cells
+
+(* --- renderers ---------------------------------------------------------------- *)
+
+let convergence_row r =
+  Printf.sprintf
+    "%-8s drop=%4.0f%% seed=%-3d  converged=%-8s dup_subs=%d  kernel/view subs=%d/%d  \
+     retries=%d resyncs=%d gaps=%d  ch drops=%d dups=%d enobufs=%d  key replays=%d"
+    r.controller (r.drop *. 100.0) r.seed
+    (match r.converged_after_s with
+    | Some s -> Printf.sprintf "%.3fs" s
+    | None -> "NEVER")
+    r.duplicate_subflows r.kernel_subflows r.view_subflows r.retries r.resyncs
+    r.gaps_detected r.dropped r.duplicated r.overflowed r.duplicate_commands
+
+let watchdog_summary w =
+  Printf.sprintf
+    "fallback_active=%b fallbacks=%d handbacks=%d kernel_subflows=%d\n\
+     bytes acked at loss / at end: %d / %d (%s)"
+    w.w_fallback_active w.w_fallbacks w.w_handbacks w.w_kernel_subflows
+    w.w_bytes_at_loss w.w_bytes_final
+    (if w.w_bytes_final > w.w_bytes_at_loss then "still transferring" else "STALLED")
+
+let dataplane_row r =
+  Printf.sprintf
+    "%-8s seed=%-4d  bytes=%d/%d %-8s  handovers=%d failovers=%d requests=%d \
+     reconnects=%d stale=%d  max_stall=%.2fs (bound %.1fs)  link_drops=%d  \
+     goodput=%.2f Mbit/s  -> %s"
+    r.dp_scenario r.dp_seed r.dp_bytes_received r.dp_bytes_sent
+    (if r.dp_byte_exact then "exact" else "MISMATCH")
+    r.dp_handovers r.dp_failovers r.dp_subflow_requests r.dp_reconnects
+    r.dp_stale_suppressed r.dp_max_stall_s r.dp_stall_bound_s r.dp_link_drops
+    (r.dp_goodput_bps /. 1e6)
+    (if dataplane_invariants_ok r then "ok" else "INVARIANT VIOLATION")

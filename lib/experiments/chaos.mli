@@ -145,3 +145,17 @@ val run_dataplane_grid :
 (** Every scenario x seed cell (defaults: all four scenarios x 3 seeds),
     across [pool]'s domains when given, results in grid order either way.
     [shards] forwards to each {!run_dataplane} cell. *)
+
+(** {1 Renderers}
+
+    The one text form of each result, shared by [smapp chaos] and the
+    bench's [chaos] section. No trailing newline. *)
+
+val convergence_row : convergence_result -> string
+val watchdog_summary : watchdog_result -> string
+(** Two lines: the fallback counters, then the bytes acked before and
+    after the daemon loss. *)
+
+val dataplane_row : dataplane_result -> string
+(** One cell; CI greps these lines (they start with the scenario name)
+    to compare sequential and sharded grids byte for byte. *)

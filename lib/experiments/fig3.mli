@@ -53,4 +53,4 @@ val traced_breakdown : ?seed:int -> ?requests:int -> unit -> breakdown
     [Smapp_obs] tracing on, and decomposes the reaction-time gap into its
     two Netlink crossings. On return the [Smapp_obs.Trace] buffer still
     holds the userspace run, ready to export; the enabled flags are
-    restored to their prior values. *)
+    restored to their prior values, also when a run raises. *)

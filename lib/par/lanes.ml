@@ -118,3 +118,10 @@ let shutdown t =
     Mutex.unlock t.mutex;
     List.iter Domain.join t.workers
   end
+
+let with_pool ~domains f =
+  if domains < 1 then invalid_arg "Smapp_par.Lanes.with_pool: domains must be >= 1";
+  if domains = 1 then f None
+  else
+    let t = create ~domains in
+    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f (Some t))

@@ -41,3 +41,9 @@ val shutdown : t -> unit
     matching [shutdown]. *)
 
 val is_shut_down : t -> bool
+
+val with_pool : domains:int -> (t option -> 'a) -> 'a
+(** [with_pool ~domains f] is [f None] at [domains = 1] (no workers, the
+    plain sequential path of every [?pool]/[?lanes] consumer) and
+    otherwise [f (Some t)] on a fresh pool that is shut down when [f]
+    returns or raises. Raises [Invalid_argument] if [domains < 1]. *)

@@ -3,6 +3,11 @@
    option shaves the [Some] box off every scheduled event. *)
 let nop () = ()
 
+(* The virtual clock lives in a cell of its own so the trace binding can
+   read it without capturing the engine: a closure over the whole record
+   would keep every engine reachable from the next one's [prev_clock]. *)
+type clock = { mutable now : Time.t }
+
 type event = {
   mutable ev_time : Time.t;
   mutable ev_callback : unit -> unit; (* == [nop] once cancelled or fired *)
@@ -17,7 +22,7 @@ type event = {
 and timer = { t_engine : t; mutable t_current : event option }
 
 and t = {
-  mutable clock : Time.t;
+  clock : clock;
   queue : event Timer_wheel.t;
   ev_dummy : event; (* the wheel's empty-queue sentinel *)
   ev_pool : event Arena.t; (* fired events recycle through here *)
@@ -27,7 +32,8 @@ and t = {
   mutable executed : int; (* callbacks run over the engine's lifetime *)
   mutable last_dispatch : Time.t; (* time of the latest executed callback *)
   mutable tie_break : tie_break;
-  clock_fn : unit -> int; (* the trace-clock closure [create] installed *)
+  clock_fn : unit -> int; (* the trace-clock closure [create] installed;
+                              reads [clock] only *)
   prev_clock : unit -> int; (* the scope's clock before [create] ran *)
 }
 
@@ -52,9 +58,10 @@ let fresh_event () = { ev_time = Time.zero; ev_callback = nop; ev_owner = None }
 
 let create ?(seed = 42) () =
   let ev_dummy = fresh_event () in
-  let rec t =
+  let clock = { now = Time.zero } in
+  let t =
     {
-      clock = Time.zero;
+      clock;
       queue = Timer_wheel.create ~dummy:ev_dummy;
       ev_dummy;
       ev_pool = Arena.create fresh_event;
@@ -64,7 +71,7 @@ let create ?(seed = 42) () =
       executed = 0;
       last_dispatch = Time.zero;
       tie_break = Fifo;
-      clock_fn = (fun () -> Time.to_ns t.clock);
+      clock_fn = (fun () -> Time.to_ns clock.now);
       prev_clock = Smapp_obs.Trace.current_clock ();
     }
   in
@@ -85,7 +92,7 @@ let retire t =
 
 let set_tie_break t policy = t.tie_break <- policy
 
-let now t = t.clock
+let now t = t.clock.now
 let rng t = t.root_rng
 let split_rng t = Rng.split t.root_rng
 
@@ -112,12 +119,12 @@ let last_event_time t = t.last_dispatch
 
 let schedule_past t when_ =
   invalid_arg
-    (Format.asprintf "Engine.at: %a is before now (%a)" Time.pp when_ Time.pp t.clock)
+    (Format.asprintf "Engine.at: %a is before now (%a)" Time.pp when_ Time.pp t.clock.now)
 
 (* The spine all scheduling funnels through: one pooled event record, the
    rank as plain ints, no closure. *)
 let schedule_ranked_event t when_ ~r1 ~r2 ~r3 f =
-  if Time.(when_ < t.clock) then schedule_past t when_;
+  if Time.(when_ < t.clock.now) then schedule_past t when_;
   let ev = Arena.take t.ev_pool in
   ev.ev_time <- when_;
   ev.ev_callback <- f;
@@ -128,7 +135,7 @@ let schedule_ranked_event t when_ ~r1 ~r2 ~r3 f =
      argument would otherwise be boxed per schedule even when disabled *)
   if Atomic.get Smapp_obs.Metrics.enabled then
     Smapp_obs.Metrics.observe m_horizon
-      (float_of_int (Time.to_ns when_ - Time.to_ns t.clock));
+      (float_of_int (Time.to_ns when_ - Time.to_ns t.clock.now));
   ev
 [@@smapp.hot]
 
@@ -151,7 +158,7 @@ let at t when_ f =
 
 let after t d f =
   let d = Time.span_max d Time.span_zero in
-  at t (Time.add t.clock d) f
+  at t (Time.add t.clock.now d) f
 
 let cancel timer =
   match timer.t_current with
@@ -173,7 +180,7 @@ let every t ?start period f =
   let rec arm delay =
     let ev =
       schedule_ranked_event t
-        (Time.add t.clock (Time.span_max delay Time.span_zero))
+        (Time.add t.clock.now (Time.span_max delay Time.span_zero))
         ~r1:0 ~r2:0 ~r3:0
         (fun () -> match f () with `Continue -> arm period | `Stop -> ())
     in
@@ -211,7 +218,7 @@ let run ?until ?(max_events = max_int) t =
     else
       match until with
       | Some limit when next_ns > Time.to_ns limit ->
-          t.clock <- limit;
+          t.clock.now <- limit;
           continue := false
       | _ ->
           (* under [Shuffle] the taken event may differ from the peeked
@@ -233,7 +240,7 @@ let run ?until ?(max_events = max_int) t =
                   tm.t_current <- None;
                   ev.ev_owner <- None);
               t.live <- t.live - 1;
-              t.clock <- ev.ev_time;
+              t.clock.now <- ev.ev_time;
               t.last_dispatch <- ev.ev_time;
               incr executed;
               t.executed <- t.executed + 1;
@@ -253,7 +260,7 @@ let run ?until ?(max_events = max_int) t =
           end
   done;
   match until with
-  | Some limit when Timer_wheel.is_empty t.queue && Time.(t.clock < limit) -> t.clock <- limit
+  | Some limit when Timer_wheel.is_empty t.queue && Time.(t.clock.now < limit) -> t.clock.now <- limit
   | _ -> ()
 [@@smapp.hot]
 

@@ -21,7 +21,9 @@ val create : ?seed:int -> unit -> t
 (** Fresh engine with clock at {!Time.zero}. [seed] (default 42) seeds the
     root RNG from which component streams are split. Installs the engine's
     virtual clock as the current {!Smapp_obs.Trace.Scope}'s time source,
-    remembering the previous binding (see {!retire}). *)
+    remembering the previous binding (see {!retire}). The installed
+    binding reads a clock cell, not the engine, so neither the scope nor
+    a later engine keeps a finished engine reachable. *)
 
 val retire : t -> unit
 (** Restore the trace clock that was installed before [create] ran — but

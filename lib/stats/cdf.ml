@@ -49,3 +49,15 @@ let pp_points ?(n = 20) ppf t =
     let q = float_of_int i /. float_of_int count in
     Format.fprintf ppf "%6.3f  %g@." q (quantile t q)
   done
+
+let quantile_row name samples =
+  match samples with
+  | [] -> Printf.sprintf "%-24s (no samples)" name
+  | _ ->
+      let t = of_samples samples in
+      Printf.sprintf "%-24s%s  n=%d" name
+        (String.concat ""
+           (List.map
+              (fun q -> Printf.sprintf "  p%02.0f=%8.3f" (q *. 100.) (quantile t q))
+              [ 0.25; 0.50; 0.75; 0.90 ]))
+        (size t)

@@ -26,3 +26,8 @@ val points : t -> (float * float) list
 
 val pp_points : ?n:int -> Format.formatter -> t -> unit
 (** Print at most [n] (default 20) evenly spaced quantile rows. *)
+
+val quantile_row : string -> float list -> string
+(** One text row: [name] padded to 24 columns, then the p25/p50/p75/p90
+    of [samples] and their count; [(no samples)] for the empty list.
+    No trailing newline. *)

@@ -275,6 +275,15 @@ let digest r =
   List.iter (fun f -> Printf.bprintf b "%Lx," (Int64.bits_of_float f)) r.goodputs;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let summary r =
+  Printf.sprintf
+    "completed %d/%d (peak %d concurrent), %d bytes total\n\
+     controller: %d subflows created, %d failovers\n\
+     simulated %.2f s in %.2f s wall; %d events -> %.0f events/s\n\
+     digest %s"
+    r.completed r.launched r.peak_concurrent r.bytes_total r.subflows_created
+    r.failovers r.sim_duration_s r.wall_s r.engine_events r.events_per_sec (digest r)
+
 (* Multi-seed replication: the same workload re-run under each seed —
    independent simulations, so they parallelise like any experiment sweep.
    Results come back in seed order. (Window lanes stay sequential inside

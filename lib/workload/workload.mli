@@ -86,6 +86,12 @@ val digest : result -> string
     count) — the byte-identity gate for sequential-vs-sharded runs.
     [wall_s] and [events_per_sec] are measurements and excluded. *)
 
+val summary : result -> string
+(** The run's text report, shared by [smapp workload] and the bench's
+    [workload] section: completions, controller activity, simulated vs
+    wall time, and a final [digest <hex>] line — the line CI compares
+    between sequential and sharded runs. No trailing newline. *)
+
 val run_many : ?pool:Smapp_par.Lanes.t -> seeds:int list -> config -> result list
 (** One {!run} per seed (the config's own [seed] field is replaced),
     across [pool]'s domains when given; results in seed order. Wall-time

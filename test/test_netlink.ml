@@ -238,6 +238,82 @@ let test_reply_roundtrips () =
       checkb (Printf.sprintf "reply %d roundtrips" i) true ok)
     replies
 
+(* --- decoder totality ------------------------------------------------------------ *)
+
+(* Every decoder on the kernel<->user and BENCH.json paths must answer
+   Ok or Error on hostile bytes, never raise. Pure noise rarely gets past
+   a header check, so half the inputs are real encodings (PM events,
+   commands, replies, a batch, a JSON document) with bytes overwritten
+   and the tail cut at a random point. *)
+let decoder_totality =
+  let corpus =
+    [
+      Wire.encode
+        (Pm_msg.event_to_msg ~seq:1
+           (Pm_msg.Sub_closed
+              { token = 2; sub_id = 3; flow = sample_flow; error = Some Smapp_tcp.Tcp_error.Econnreset }));
+      Wire.encode
+        (Pm_msg.event_to_msg ~seq:2
+           (Pm_msg.New_local_addr { addr = Ip.v4 192 168 1 4; ifname = "wlan0" }));
+      Wire.encode
+        (Pm_msg.command_to_msg ~key:9 ~seq:3
+           (Pm_msg.Create_subflow
+              {
+                token = 0xFEED;
+                src = Ip.v4 10 0 1 1;
+                src_port = Some 5555;
+                dst = Ip.endpoint (Ip.v4 10 0 1 2) 80;
+                backup = true;
+              }));
+      Wire.encode
+        (Pm_msg.reply_to_msg ~seq:4
+           (Pm_msg.R_conn_info
+              {
+                Pm_msg.ci_token = 0xFACE;
+                ci_bytes_sent = 1_000_000;
+                ci_bytes_acked = 900_000;
+                ci_bytes_received = 12;
+                ci_subflow_count = 4;
+                ci_send_buffer = 100_000;
+              }));
+      Wire.encode_batch
+        [
+          Pm_msg.event_to_msg ~seq:5 (Pm_msg.Estab { token = 0xABCD });
+          Pm_msg.reply_to_msg ~seq:6 (Pm_msg.Error "no such connection");
+        ];
+      {|{"scale":"quick","sections":[{"name":"fig2a","wall_s":0.06,"metrics":{"failover_s":2.2e0,"x":-1,"ok":true,"n":null}}]}|};
+    ]
+  in
+  let mutate base edits cut =
+    let b = Bytes.of_string base in
+    List.iter
+      (fun (i, c) -> if Bytes.length b > 0 then Bytes.set b (i mod Bytes.length b) c)
+      edits;
+    Bytes.sub_string b 0 (min cut (Bytes.length b))
+  in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          string_size (int_range 0 64);
+          map3 mutate (oneofl corpus)
+            (list_size (int_range 0 6) (pair (int_bound 4096) char))
+            (int_bound 256);
+        ])
+  in
+  QCheck.Test.make ~name:"decoders are total on hostile bytes" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun bytes ->
+      let total f = match f () with Ok _ | Error _ -> true in
+      let pm msg =
+        total (fun () -> Pm_msg.event_of_msg msg)
+        && total (fun () -> Pm_msg.command_of_msg msg)
+        && total (fun () -> Pm_msg.reply_of_msg msg)
+      in
+      (match Wire.decode bytes with Ok msg -> pm msg | Error _ -> true)
+      && (match Wire.decode_batch bytes with Ok msgs -> List.for_all pm msgs | Error _ -> true)
+      && total (fun () -> Smapp_stats.Json.of_string bytes))
+
 let test_srtt_none_roundtrip () =
   let i =
     {
@@ -300,5 +376,6 @@ let () =
           Alcotest.test_case "srtt none" `Quick test_srtt_none_roundtrip;
           Alcotest.test_case "errno codes" `Quick test_errno_codes;
           Alcotest.test_case "event masks" `Quick test_mask_of_event;
+          QCheck_alcotest.to_alcotest decoder_totality;
         ] );
     ]

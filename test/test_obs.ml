@@ -264,6 +264,34 @@ let test_instrumentation_is_inert () =
     (Trace.recorded () > 0);
   Trace.clear ()
 
+(* The bracket sets the given flags, starts their stores empty, and puts
+   every flag back even when the run raises; omitted flags stay as set. *)
+let test_switch_restores_on_raise () =
+  let module Prof = Smapp_obs.Prof in
+  let flags () =
+    (Atomic.get Metrics.enabled, Atomic.get Trace.enabled, Atomic.get Prof.enabled)
+  in
+  let c = Metrics.counter "test_switch_total" in
+  Atomic.set Metrics.enabled true;
+  Metrics.incr c;
+  Atomic.set Metrics.enabled false;
+  Atomic.set Trace.enabled false;
+  Atomic.set Prof.enabled false;
+  (match
+     Smapp_obs.Switch.with_flags ~metrics:true ~trace:true (fun () ->
+         checki "metrics cleared on entry" 0 (Metrics.value c);
+         checkb "flags set inside" true (flags () = (true, true, false));
+         failwith "run failed")
+   with
+  | () -> Alcotest.fail "the run's exception was swallowed"
+  | exception Failure _ -> ());
+  checkb "flags restored after a raise" true (flags () = (false, false, false));
+  Atomic.set Trace.enabled true;
+  Smapp_obs.Switch.with_flags ~trace:false ~prof:true (fun () ->
+      checkb "nested values" true (flags () = (false, false, true)));
+  checkb "restored to the caller's values" true (flags () = (false, true, false));
+  Atomic.set Trace.enabled false
+
 let () =
   Alcotest.run "smapp_obs"
     [
@@ -287,6 +315,8 @@ let () =
             test_disabled_records_nothing;
         ] );
       ("log", [ Alcotest.test_case "sink and levels" `Quick test_log_sink_and_levels ]);
+      ( "switch",
+        [ Alcotest.test_case "restores flags on raise" `Quick test_switch_restores_on_raise ] );
       ( "determinism",
         [
           Alcotest.test_case "tracing does not perturb the sim" `Quick

@@ -75,6 +75,24 @@ let test_rejects_bad_config () =
     (Invalid_argument "Workload.run: backup controller needs at least 2 paths") (fun () ->
       ignore (run { (small ~controller:`Backup ()) with paths = 1 }))
 
+(* A finished run must leave nothing reachable: each engine used to keep
+   the previous one alive through its saved trace clock, so live words grew
+   by a whole engine (~24k words here) per run. *)
+let test_runs_retain_nothing () =
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let cfg = small ~conns:10 () in
+  ignore (run cfg : result);
+  let before = live () in
+  for _ = 1 to 6 do
+    ignore (run cfg : result)
+  done;
+  let growth = live () - before in
+  if growth > 1_000 then
+    Alcotest.failf "live words grew by %d over 6 runs (want <= 1000)" growth
+
 let () =
   Alcotest.run "workload"
     [
@@ -88,5 +106,6 @@ let () =
           Alcotest.test_case "no controller" `Quick test_no_controller_runs;
           Alcotest.test_case "heavy-tailed sizes" `Quick test_heavy_tail_sizes;
           Alcotest.test_case "rejects bad config" `Quick test_rejects_bad_config;
+          Alcotest.test_case "runs retain nothing" `Quick test_runs_retain_nothing;
         ] );
     ]
